@@ -13,30 +13,28 @@ from .errors import (AlignmentError, AuditError, BudgetError, ConvergenceError,
                      SupportSizeError)
 from .histogram import (BinningScheme, FeatureSpec, JointHistogram,
                         ProbabilityHistogram, RecordFilter, ingest_csv,
-                        normalize, project, read_histogram, write_histogram)
+                        normalize, read_histogram, write_histogram)
 from .pac import (SampleBudget, analytic_false_positive, sample_size,
                   vc_dimension_bound)
-from .query import (QueryOutcome, ReferenceBand, TestMeasure, ViolationReport,
-                    delta_range, exact_query, subsampled_query,
-                    violation_report)
+from .query import (QueryOutcome, ReferenceBand, ViolationReport, exact_query,
+                    subsampled_query, violation_report)
 from .sweep import (SweepConfig, SweepResult, WassersteinBaseline,
                     eps_to_delta, run_supnorm_sweep, run_wasserstein_sweep,
                     subgroup_split)
-from .transport import (CostMatrix, TransportPlan, kantorovich_lp, sinkhorn,
-                        wasserstein_1d, wasserstein_nd)
+from .transport import (TransportPlan, kantorovich_lp, sinkhorn, wasserstein_1d,
+                        wasserstein_nd)
 
 __all__ = [
     "AlignmentError", "AuditError", "BudgetError", "ConvergenceError",
     "EmptyInputError", "ParameterError", "SchemaError", "SupportSizeError",
     "BinningScheme", "FeatureSpec", "JointHistogram", "ProbabilityHistogram",
-    "RecordFilter", "ingest_csv", "normalize", "project", "read_histogram",
-    "write_histogram",
+    "RecordFilter", "ingest_csv", "normalize", "read_histogram", "write_histogram",
     "SampleBudget", "analytic_false_positive", "sample_size", "vc_dimension_bound",
-    "QueryOutcome", "ReferenceBand", "TestMeasure", "ViolationReport",
-    "delta_range", "exact_query", "subsampled_query", "violation_report",
+    "QueryOutcome", "ReferenceBand", "ViolationReport", "exact_query",
+    "subsampled_query", "violation_report",
     "SweepConfig", "SweepResult", "WassersteinBaseline", "eps_to_delta",
     "run_supnorm_sweep", "run_wasserstein_sweep", "subgroup_split",
-    "CostMatrix", "TransportPlan", "kantorovich_lp", "sinkhorn",
+    "TransportPlan", "kantorovich_lp", "sinkhorn",
     "wasserstein_1d", "wasserstein_nd",
     "__version__",
 ]

@@ -23,9 +23,10 @@ from .datasets import read_csv_records, write_synthetic_csv
 from .errors import AlignmentError, AuditError
 from .fileio import atomic_write_text, sha256_file
 from .histogram import (JointHistogram, ProbabilityHistogram, RecordFilter,
-                        ingest_csv, normalize, read_histogram, write_histogram)
+                        gather, ingest_csv, normalize, read_histogram,
+                        write_histogram)
 from .pac import SampleBudget, analytic_false_positive
-from .query import (ReferenceBand, exact_query, subsampled_query,
+from .query import (ReferenceBand, subsampled_query, support_differences,
                     verdict_record, violation_report)
 from .sweep import (measure_from_records, run_supnorm_sweep,
                     run_wasserstein_sweep, subgroup_split)
@@ -102,7 +103,7 @@ def cmd_bin(data, config_path, filter_spec, out):
     except AuditError as exc:
         _fail(exc)
     click.echo(f"wrote {out}: total={hist.total} skipped={hist.skipped} "
-               f"occupied_bins={len(hist.counts)}")
+               f"occupied_bins={hist.flats.size}")
 
 
 @main.command("query")
@@ -130,17 +131,18 @@ def cmd_query(reference, test_path, delta, samples, seed):
             click.echo("warning: delta = 0 is degenerate (every bin counts as a violation)",
                        err=True)
         if samples is None:
-            outcome = exact_query(test, band)
             report = violation_report(test, band)
+            outcome = report.outcome()
             line = verdict_record(outcome, delta, report.fraction, report.sup_norm)
         else:
             if seed is None:
                 seed = int.from_bytes(os.urandom(8), "big")
                 click.echo(f"generated seed: {seed}", err=True)
             outcome = subsampled_query(test, band, samples, seed)
-            diffs = [abs(test.mass(idx) - base.mass(idx)) for idx in outcome.sampled_bins]
-            eps_hat = sum(d >= delta for d in diffs) / len(diffs)
-            line = verdict_record(outcome, delta, eps_hat, max(diffs))
+            sampled = test.scheme.flat_ids(outcome.sampled_bins)
+            diffs = gather(*support_differences(test, base), sampled)
+            eps_hat = (diffs >= delta).mean()
+            line = verdict_record(outcome, delta, eps_hat, diffs.max())
     except AuditError as exc:
         _fail(exc)
     click.echo(line)

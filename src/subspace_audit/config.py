@@ -13,6 +13,7 @@ Flags given on the command line win over file values.
 from __future__ import annotations
 
 from .errors import SchemaError
+from .fileio import read_text
 from .histogram import BinningScheme, FeatureSpec
 from .sweep import SweepConfig, WassersteinBaseline
 
@@ -37,8 +38,7 @@ def parse_config(text: str) -> dict[str, str]:
 
 
 def load_config(path: str) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(read_text(path))
 
 
 def scheme_from_config(cfg: dict[str, str]) -> BinningScheme:

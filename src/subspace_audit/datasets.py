@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import csv
+import io
 
 import numpy as np
 
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_text
 
 COLUMNS = ("SEX", "score", "age")
 
@@ -49,6 +50,5 @@ def write_synthetic_csv(path: str, n_rows: int = DEFAULT_ROWS,
 
 
 def read_csv_records(path: str) -> list[dict[str, str]]:
-    """Load a CSV into a list of row dicts (header required)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+    """Load a UTF-8 CSV into a list of row dicts (header required)."""
+    return list(csv.DictReader(io.StringIO(read_text(path), newline="")))

@@ -1,8 +1,10 @@
-"""Small file helpers: atomic writes and content fingerprints."""
+"""Small file helpers: atomic writes, checked text reads and content fingerprints."""
 
 import hashlib
 import os
 import tempfile
+
+from .errors import SchemaError
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -19,6 +21,15 @@ def atomic_write_text(path: str, text: str) -> None:
         except FileNotFoundError:
             pass
         raise
+
+
+def read_text(path: str) -> str:
+    """Contents of a UTF-8 text file; undecodable bytes raise SchemaError."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def sha256_file(path: str) -> str:

@@ -9,6 +9,10 @@ answering "inside" for a measure that is outside — it never rejects a measure
 that is inside, and any rejection carries a witness bin that can be rechecked
 directly.
 
+Every per-bin difference comes from one kernel, `support_differences`, which
+works on the histograms' flat-id arrays: the union of the two supports and
+|test - base| on it.  Bins outside both supports differ by exactly zero.
+
 All operations are pure given (inputs, seed); parallel callers must supply
 distinct seeds.
 """
@@ -17,15 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import AlignmentError, BudgetError, ParameterError
-from .histogram import BinningScheme, Index, ProbabilityHistogram
-
-#: The test measure is just a probability histogram on the band's scheme.
-TestMeasure = ProbabilityHistogram
+from .histogram import BinningScheme, Index, ProbabilityHistogram, gather
 
 # Grids up to this size take a slice of a full permutation when sampling;
 # larger grids reject duplicates so memory stays O(sample size).
@@ -44,21 +45,37 @@ class ReferenceBand:
             raise ParameterError("band half-width delta must be finite and non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ViolationReport:
     """Full-scan violation accounting for one (test, band) pair.
 
-    `violations` maps each violating bin (difference >= delta) to its clipped
-    excess max(difference - delta, 0).  Bins outside the stored support of
-    both measures are materialized only in `count_k`: they can violate only
-    when delta == 0, in which case each contributes an excess of exactly zero.
+    `flats` lists the stored violating bins (difference >= delta) in flat-id
+    order and `excess` their excess difference - delta; `violations` maps
+    each such bin's multi-index to its excess, built on request.  Bins
+    outside the stored support of both measures are counted only in
+    `count_k`: they can violate only when delta == 0, in which case each
+    contributes an excess of exactly zero.
     """
 
-    violations: Mapping[Index, float]
+    scheme: BinningScheme
+    flats: np.ndarray
+    excess: np.ndarray
     count_k: int
     total_bins: int
     fraction: float
     sup_norm: float
+
+    @property
+    def violations(self) -> dict[Index, float]:
+        return dict(zip(self.scheme.indices(self.flats), self.excess.tolist()))
+
+    def outcome(self) -> QueryOutcome:
+        """Exact verdict; the witness is the violating bin first in index order."""
+        if self.count_k == 0:
+            return QueryOutcome(inside=True)
+        # no stored violation means delta == 0 on empty supports: bin 0 violates
+        first = int(self.flats[0]) if self.flats.size else 0
+        return QueryOutcome(inside=False, witness=self.scheme.unflatten(first))
 
 
 @dataclass(frozen=True)
@@ -76,81 +93,51 @@ class QueryOutcome:
     seed: int | None = None
 
 
-def _require_aligned(a: BinningScheme, b: BinningScheme) -> None:
-    if a != b:
-        raise AlignmentError("histograms use different binning schemes")
-
-
+@lru_cache(maxsize=4)
 def support_differences(test: ProbabilityHistogram,
-                        base: ProbabilityHistogram) -> dict[Index, float]:
-    """Absolute per-bin mass differences over the union of the two supports.
+                        base: ProbabilityHistogram) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted flat ids of the union of the two supports, |test - base| on them).
 
     Bins absent from both supports differ by exactly zero and are omitted.
+    Results are cached per (immutable) pair, as Monte-Carlo trials and
+    `query --samples` ask for one pair repeatedly, and are read-only.
     """
-    diffs = {}
-    for idx in set(test.masses) | set(base.masses):
-        diffs[idx] = abs(test.mass(idx) - base.mass(idx))
-    return diffs
+    if test.scheme != base.scheme:
+        raise AlignmentError("histograms use different binning schemes")
+    flats = np.union1d(test.flats, base.flats)
+    diffs = np.abs(gather(test.flats, test.values, flats) - gather(base.flats, base.values, flats))
+    flats.flags.writeable = diffs.flags.writeable = False
+    return flats, diffs
 
 
-def _first_untouched_bin(scheme: BinningScheme, support) -> Index:
-    # support is smaller than the grid, so some flat id <= len(support) is free
-    for flat in range(len(support) + 1):
-        idx = scheme.unflatten(flat)
-        if idx not in support:
-            return idx
-    raise AssertionError("support unexpectedly covers the whole grid")
-
-
-def exact_query(test: TestMeasure, band: ReferenceBand) -> QueryOutcome:
+def exact_query(test: ProbabilityHistogram, band: ReferenceBand) -> QueryOutcome:
     """Full scan: inside iff every bin satisfies |test - base| < delta.
 
     All bins participate, including bins empty in both measures; those can
     only violate in the degenerate delta == 0 case.  The witness, when one
-    exists, is the violating bin that is first in index order.
+    exists, is the violating stored bin that is first in index order (bin 0
+    when neither measure stores any bin).
     """
-    _require_aligned(test.scheme, band.base.scheme)
-    diffs = support_differences(test, band.base)
-    for idx in sorted(diffs):
-        if diffs[idx] >= band.delta:
-            return QueryOutcome(inside=False, witness=idx)
-    if band.delta == 0 and len(diffs) < test.scheme.total_bins:
-        return QueryOutcome(inside=False, witness=_first_untouched_bin(test.scheme, diffs))
-    return QueryOutcome(inside=True)
+    return violation_report(test, band).outcome()
 
 
-def violation_report(test: TestMeasure, band: ReferenceBand) -> ViolationReport:
+def violation_report(test: ProbabilityHistogram, band: ReferenceBand) -> ViolationReport:
     """Per-bin violations, their count, fraction, and the sup-norm distance."""
-    _require_aligned(test.scheme, band.base.scheme)
+    flats, diffs = support_differences(test, band.base)
     n_total = test.scheme.total_bins
-    diffs = support_differences(test, band.base)
-    violations = {idx: max(d - band.delta, 0.0) for idx, d in diffs.items() if d >= band.delta}
-    count = len(violations)
+    hit = diffs >= band.delta
+    count = int(np.count_nonzero(hit))
     if band.delta == 0:
-        count += n_total - len(diffs)
+        count += n_total - flats.size
     return ViolationReport(
-        violations=violations,
+        scheme=test.scheme,
+        flats=flats[hit],
+        excess=diffs[hit] - band.delta,
         count_k=count,
         total_bins=n_total,
         fraction=count / n_total,
-        sup_norm=max(diffs.values(), default=0.0),
+        sup_norm=float(diffs.max(initial=0.0)),
     )
-
-
-def delta_range(test: TestMeasure, base: ProbabilityHistogram) -> tuple[float, float]:
-    """(min, max) of the per-bin differences over all bins of the grid.
-
-    Any delta strictly between the two endpoints yields a violation fraction
-    strictly inside (0, 1); at or below the minimum every bin violates, and
-    above the maximum none does.
-    """
-    _require_aligned(test.scheme, base.scheme)
-    diffs = support_differences(test, base)
-    d_max = max(diffs.values(), default=0.0)
-    d_min = min(diffs.values(), default=0.0)
-    if len(diffs) < test.scheme.total_bins:
-        d_min = 0.0
-    return d_min, d_max
 
 
 def sample_flat_indices(n_total: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -177,7 +164,7 @@ def sample_flat_indices(n_total: int, size: int, rng: np.random.Generator) -> np
     return np.asarray(out, dtype=np.int64)
 
 
-def subsampled_query(test: TestMeasure, band: ReferenceBand,
+def subsampled_query(test: ProbabilityHistogram, band: ReferenceBand,
                      size: int, seed: int) -> QueryOutcome:
     """Check a uniform random subset of bins instead of the whole grid.
 
@@ -185,23 +172,15 @@ def subsampled_query(test: TestMeasure, band: ReferenceBand,
     reject.  Acceptance may be a false positive; with K violating bins out of
     N, the chance of missing all of them is hypergeometric in (N, K, size) —
     see pac.analytic_false_positive for the exact law.  Identical (inputs,
-    size, seed) produce the identical sampled set and verdict.
+    size, seed) produce the identical sampled set and verdict.  The witness
+    is the first violating bin in draw order.
     """
-    _require_aligned(test.scheme, band.base.scheme)
-    n_total = test.scheme.total_bins
-    if not 1 <= size <= n_total:
-        raise BudgetError(f"sample size {size} outside [1, {n_total}]")
-    rng = np.random.default_rng(seed)
-    flats = sample_flat_indices(n_total, size, rng)
-    axes = np.unravel_index(flats, test.scheme.shape)
-    sampled = tuple(zip(*(axis.tolist() for axis in axes)))
-    witness = None
-    base = band.base
-    for idx in sampled:
-        if abs(test.mass(idx) - base.mass(idx)) >= band.delta:
-            witness = idx
-            break
-    return QueryOutcome(inside=witness is None, witness=witness,
+    support, diffs = support_differences(test, band.base)
+    flats = sample_flat_indices(test.scheme.total_bins, size, np.random.default_rng(seed))
+    hits = np.flatnonzero(gather(support, diffs, flats) >= band.delta)
+    sampled = test.scheme.indices(flats)
+    return QueryOutcome(inside=hits.size == 0,
+                        witness=sampled[hits[0]] if hits.size else None,
                         sampled_bins=sampled, seed=seed)
 
 

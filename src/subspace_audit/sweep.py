@@ -5,7 +5,9 @@ realize the requested violation fractions, replays the subsampled membership
 test many times per (fraction, sample size) cell, and tabulates the empirical
 rate of one-sided errors next to the exact hypergeometric rate.  A
 record-subsampling Wasserstein decision protocol provides the comparison
-baseline curve.
+baseline curve.  Records become flat bin ids through the scheme's column
+binner, measures are counted from those ids, and each cell's violation mask
+is scattered from the violating ids of `query.violation_report`.
 
 Trials within a cell are embarrassingly parallel: every trial seed is derived
 from the master seed by counter-based mixing, so results are independent of
@@ -18,14 +20,14 @@ import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import methodcaller
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (AlignmentError, BudgetError, EmptyInputError,
                      ParameterError, SchemaError)
-from .histogram import (BinningScheme, ProbabilityHistogram, bin_record,
-                        format_histogram)
+from .histogram import BinningScheme, ProbabilityHistogram, format_histogram
 from .pac import analytic_false_positive
 from .query import (ReferenceBand, sample_flat_indices, support_differences,
                     violation_report)
@@ -63,10 +65,8 @@ def eps_to_delta(test: ProbabilityHistogram, reference: ProbabilityHistogram,
     """
     if not 0.0 < eps_target < 1.0:
         raise ParameterError("eps_target must lie strictly inside (0, 1)")
-    if test.scheme != reference.scheme:
-        raise AlignmentError("histograms use different binning schemes")
     n_total = test.scheme.total_bins
-    diffs = np.sort(np.asarray(list(support_differences(test, reference).values())))[::-1]
+    diffs = np.sort(support_differences(test, reference)[1])[::-1]
     allowed = int(math.floor(eps_target * n_total))
     pivot = float(diffs[allowed]) if allowed < diffs.size else 0.0
     delta = math.nextafter(pivot, math.inf)
@@ -180,14 +180,9 @@ def _fingerprint(measure: ProbabilityHistogram) -> str:
 
 def violation_mask(test: ProbabilityHistogram, band: ReferenceBand) -> np.ndarray:
     """Dense indicator over flat bin ids of "difference >= delta"."""
-    scheme = test.scheme
-    if band.delta == 0:
-        # every bin violates: untouched bins differ by exactly zero
-        return np.ones(scheme.total_bins, dtype=bool)
-    mask = np.zeros(scheme.total_bins, dtype=bool)
-    for idx, diff in support_differences(test, band.base).items():
-        if diff >= band.delta:
-            mask[scheme.flatten(idx)] = True
+    # at delta == 0 every bin violates: untouched bins differ by exactly zero
+    mask = np.full(test.scheme.total_bins, band.delta == 0)
+    mask[violation_report(test, band).flats] = True
     return mask
 
 
@@ -305,25 +300,18 @@ def subgroup_split(records: Iterable[Mapping[str, str]], protected_column: str,
 def flat_bin_ids(records: Iterable[Mapping[str, str]],
                  scheme: BinningScheme) -> tuple[np.ndarray, int]:
     """Flat joint-bin id per record, and how many records were dropped."""
-    flats: list[int] = []
-    dropped = 0
-    for row in records:
-        idx = bin_record(row, scheme)
-        if idx is None:
-            dropped += 1
-            continue
-        flats.append(scheme.flatten(idx))
-    return np.asarray(flats, dtype=np.int64), dropped
+    rows = list(records)
+    flats = scheme.bin_columns([list(map(methodcaller("get", f.name), rows))
+                                for f in scheme.features])
+    return flats[flats >= 0], int(np.count_nonzero(flats < 0))
 
 
 def measure_from_flats(flats: np.ndarray, scheme: BinningScheme) -> ProbabilityHistogram:
     """Normalized histogram of a vector of flat bin ids."""
     if flats.size == 0:
         raise EmptyInputError("no binned records to build a measure from")
-    counts = np.bincount(flats, minlength=scheme.total_bins)
-    total = float(flats.size)
-    masses = {scheme.unflatten(int(f)): counts[f] / total for f in np.flatnonzero(counts)}
-    return ProbabilityHistogram(scheme=scheme, masses=masses)
+    ids, counts = np.unique(flats, return_counts=True)
+    return ProbabilityHistogram.from_flats(scheme, ids, counts / float(flats.size))
 
 
 def measure_from_records(records: Iterable[Mapping[str, str]],

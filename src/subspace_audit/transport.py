@@ -32,24 +32,6 @@ _CERT_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
-class CostMatrix:
-    """Dense non-negative ground-cost grid between two support sets."""
-
-    entries: np.ndarray
-    metric: str = ""
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2:
-            raise ParameterError("cost matrix must be two-dimensional")
-        if not np.all(np.isfinite(entries)):
-            raise ParameterError("cost matrix entries must be finite")
-        if np.any(entries < 0):
-            raise ParameterError("cost matrix entries must be non-negative")
-        object.__setattr__(self, "entries", entries)
-
-
-@dataclass(frozen=True, eq=False)
 class TransportPlan:
     """Coupling with prescribed marginals, its cost, and solve diagnostics."""
 
@@ -73,7 +55,7 @@ def _as_marginal(vec, label: str) -> np.ndarray:
 
 
 def _as_cost(cost, n: int, m: int) -> np.ndarray:
-    c = cost.entries if isinstance(cost, CostMatrix) else np.asarray(cost, dtype=float)
+    c = np.asarray(cost, dtype=float)
     if c.shape != (n, m):
         raise ParameterError(f"cost matrix shape {c.shape} does not match marginals ({n}, {m})")
     if not np.all(np.isfinite(c)):
@@ -314,11 +296,17 @@ def _line_support(hist: ProbabilityHistogram) -> tuple[np.ndarray, np.ndarray]:
         raise ParameterError("expected a one-feature histogram")
     if abs(hist.total_mass() - 1.0) > _MARGINAL_TOL:
         raise ParameterError("expected a probability histogram (masses summing to 1)")
-    centers = hist.scheme.features[0].centers()
-    pairs = sorted((centers[idx[0]], m) for idx, m in hist.masses.items() if m > 0)
-    xs = np.asarray([x for x, _ in pairs])
-    ws = np.asarray([w for _, w in pairs])
-    return xs, ws
+    points, masses = _support(hist)
+    return points[:, 0], masses
+
+
+def _support(hist: ProbabilityHistogram) -> tuple[np.ndarray, np.ndarray]:
+    """Bin-center coordinates (one row per occupied bin, one column per
+    feature) and the masses of the occupied bins, in flat-id order."""
+    occupied = hist.values > 0
+    axes = np.unravel_index(hist.flats[occupied], hist.scheme.shape)
+    points = [np.asarray(f.centers())[axis] for f, axis in zip(hist.scheme.features, axes)]
+    return np.column_stack(points), hist.values[occupied]
 
 
 def wasserstein_nd(a: ProbabilityHistogram, b: ProbabilityHistogram, p: float = 2.0,
@@ -340,19 +328,14 @@ def wasserstein_nd(a: ProbabilityHistogram, b: ProbabilityHistogram, p: float = 
         raise AlignmentError("histograms use different binning schemes")
     if method not in ("exact", "entropic"):
         raise ParameterError(f"unknown method {method!r} (use 'exact' or 'entropic')")
-    support_a = [(idx, m) for idx, m in sorted(a.masses.items()) if m > 0]
-    support_b = [(idx, m) for idx, m in sorted(b.masses.items()) if m > 0]
-    if not support_a or not support_b:
+    (pts_a, wa), (pts_b, wb) = _support(a), _support(b)
+    if not wa.size or not wb.size:
         raise ParameterError("both histograms need non-empty support")
-    if method == "exact" and len(support_a) * len(support_b) > max_exact_entries:
+    if method == "exact" and wa.size * wb.size > max_exact_entries:
         raise SupportSizeError(
-            f"support product {len(support_a)}x{len(support_b)} exceeds "
+            f"support product {wa.size}x{wb.size} exceeds "
             f"{max_exact_entries} entries; use method='entropic'")
 
-    pts_a = np.asarray([a.scheme.center_of(idx) for idx, _ in support_a])
-    pts_b = np.asarray([b.scheme.center_of(idx) for idx, _ in support_b])
-    wa = np.asarray([m for _, m in support_a])
-    wb = np.asarray([m for _, m in support_b])
     dist = np.sqrt(((pts_a[:, None, :] - pts_b[None, :, :]) ** 2).sum(axis=2))
     costs = dist ** p
 

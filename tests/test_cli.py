@@ -141,6 +141,49 @@ class TestQuery:
         assert result.exit_code == 3
 
 
+# a counts histogram on the scheme.cfg grid, before its data lines
+HIST_HEADER = (
+    "# subspace-audit histogram v1\n# kind: counts\n"
+    '# feature: {"name": "score", "kind": "continuous", "lower": 0.0, "upper": 10.0, "bins": 8}\n'
+    '# feature: {"name": "age", "kind": "continuous", "lower": 18.0, "upper": 80.0, "bins": 5}\n')
+
+
+class TestMalformedInput:
+    """Input faults exit 2, never 1: exit 1 means only "outside"."""
+
+    @pytest.mark.parametrize("body", [
+        "0,x\t3\n",  # non-integer bin index
+        "0,1\tx\n",  # non-integer count
+        "# total: abc\n0,1\t3\n",  # non-integer total
+        "0,1\t3\n0,1\t5\n",  # the same bin twice
+    ])
+    def test_malformed_histogram_exit_2(self, tmp_path, body):
+        (tmp_path / "bad.hist").write_text(HIST_HEADER + body)
+        result = run(CliRunner(), ["query", "--reference", tmp_path / "bad.hist",
+                                   "--test", tmp_path / "bad.hist", "--delta", "0.1"])
+        assert result.exit_code == 2, result.output
+
+    def test_undecodable_files_exit_2_naming_the_file(self, workspace):
+        runner, root = workspace
+        (root / "bad.csv").write_bytes(b"SEX,score,age\nFemale,\xff\xfe,30\n")
+        (root / "bad.cfg").write_bytes(SCHEME_CFG.encode() + b"# \xff\n")
+        (root / "bad.hist").write_bytes(HIST_HEADER.encode() + b"0,1\t\xff\n")
+        commands = [
+            ["bin", "--data", root / "bad.csv", "--config", root / "scheme.cfg",
+             "--out", root / "x.hist"],
+            ["bin", "--data", root / "data.csv", "--config", root / "bad.cfg",
+             "--out", root / "x.hist"],
+            ["sweep", "--config", root / "sweep.cfg", "--data", root / "bad.csv",
+             "--out", root / "o.csv"],
+            ["query", "--reference", root / "bad.hist", "--test", root / "bad.hist",
+             "--delta", "0.1"],
+        ]
+        for args, name in zip(commands, ["bad.csv", "bad.cfg", "bad.csv", "bad.hist"]):
+            result = run(runner, args)
+            assert result.exit_code == 2, result.output
+            assert name in result.output
+
+
 class TestSampleSize:
     def test_example_row(self):
         # d = vc_dimension_bound(1) = 7, s = ceil(112 * ln 112) = 529

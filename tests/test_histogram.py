@@ -7,9 +7,9 @@ import pytest
 from subspace_audit.errors import EmptyInputError, ParameterError, SchemaError
 from subspace_audit.histogram import (BinningScheme, FeatureSpec,
                                       JointHistogram, ProbabilityHistogram,
-                                      RecordFilter, bin_record,
-                                      format_histogram, ingest_csv, normalize,
-                                      parse_histogram, project)
+                                      RecordFilter, format_histogram,
+                                      ingest_csv, normalize, parse_histogram)
+from subspace_audit.sweep import flat_bin_ids
 
 
 def scheme_1d(bins=10, lower=1.0, upper=11.0):
@@ -198,37 +198,11 @@ class TestNormalize:
             assert all(0.0 <= v <= 1.0 for v in m.masses.values())
 
 
-class TestProject:
-    def setup_method(self):
-        self.scheme = scheme_1d(bins=3, lower=0, upper=3)
-        self.m = ProbabilityHistogram(self.scheme, {(0,): 0.5, (1,): 0.3, (2,): 0.2})
-
-    def test_full_restriction_is_identity(self):
-        out = project(self.m, [(0,), (1,), (2,)])
-        assert out.masses == self.m.masses
-
-    def test_partial_restriction(self):
-        out = project(self.m, [(0,), (2,)])
-        assert out.masses == {(0,): 0.5, (2,): 0.2}
-        assert math.isclose(out.total_mass(), 0.7)
-
-    def test_single_bin_of_uniform(self):
-        s = scheme_1d(bins=10, lower=0, upper=10)
-        uniform = ProbabilityHistogram(s, {(i,): 0.1 for i in range(10)})
-        out = project(uniform, [(1,)])
-        assert out.masses == {(1,): 0.1}
-
-    def test_projection_total_is_exact_sum(self):
-        out = project(self.m, [(1,), (2,)])
-        assert out.total_mass() == self.m.mass((1,)) + self.m.mass((2,))
-
-    def test_out_of_range_index(self):
-        with pytest.raises(IndexError):
-            project(self.m, [(7,)])
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ParameterError):
-            project(self.m, [])
+# a two-feature counts header with no total line: the total is the sum of the bins
+COUNTS_HEADER = (
+    "# subspace-audit histogram v1\n# kind: counts\n"
+    '# feature: {"name": "a", "kind": "continuous", "lower": 0.0, "upper": 1.0, "bins": 2}\n'
+    '# feature: {"name": "b", "kind": "continuous", "lower": 0.0, "upper": 1.0, "bins": 2}\n')
 
 
 class TestFileFormat:
@@ -265,6 +239,19 @@ class TestFileFormat:
         with pytest.raises(SchemaError):
             parse_histogram("# subspace-audit histogram v1\n# kind: blah\n")
 
+    @pytest.mark.parametrize("body", [
+        "0,x\t3\n",  # non-integer bin index
+        "0,1\tx\n",  # non-integer count
+        "0,1\t3\n0,1\t5\n",  # the same bin twice
+    ])
+    def test_malformed_data_line_rejected(self, body):
+        with pytest.raises(SchemaError):
+            parse_histogram(COUNTS_HEADER + body)
+
+    def test_malformed_total_rejected(self):
+        with pytest.raises(SchemaError):
+            parse_histogram(COUNTS_HEADER + "# total: abc\n0,1\t3\n")
+
     def test_inconsistent_total_rejected(self):
         h = ingest_csv(io.StringIO(CSV), scheme_1d())
         text = format_histogram(h).replace("# total: 3", "# total: 5")
@@ -272,9 +259,11 @@ class TestFileFormat:
             parse_histogram(text)
 
 
-def test_bin_record_joint_index():
+def test_flat_bin_ids_joint_index():
     s = BinningScheme((FeatureSpec.continuous("score", 0, 10, 5),
                        FeatureSpec.categorical("sex", ["F", "M"])))
-    assert bin_record({"score": "3.0", "sex": "M"}, s) == (1, 1)
-    assert bin_record({"score": "x", "sex": "M"}, s) is None
-    assert bin_record({"score": "3.0"}, s) is None
+    flats, dropped = flat_bin_ids([{"score": "3.0", "sex": "M"}], s)
+    assert flats.tolist() == [s.flatten((1, 1))] and dropped == 0
+    for unusable in ({"score": "x", "sex": "M"}, {"score": "3.0"}):
+        flats, dropped = flat_bin_ids([unusable], s)
+        assert flats.size == 0 and dropped == 1

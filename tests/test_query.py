@@ -4,9 +4,10 @@ import pytest
 from subspace_audit.errors import AlignmentError, BudgetError, ParameterError
 from subspace_audit.histogram import (BinningScheme, FeatureSpec,
                                       ProbabilityHistogram)
-from subspace_audit.query import (ReferenceBand, delta_range, exact_query,
+from subspace_audit.query import (ReferenceBand, exact_query,
                                   sample_flat_indices, subsampled_query,
-                                  verdict_record, violation_report)
+                                  support_differences, verdict_record,
+                                  violation_report)
 
 
 def line_scheme(bins):
@@ -35,6 +36,17 @@ def random_pair(rng, max_bins=64):
         return ProbabilityHistogram(scheme, {(int(i),): float(v) for i, v in zip(idx, w)})
 
     return rand_measure(), rand_measure()
+
+
+def delta_range(test, base):
+    """(min, max) of the per-bin differences over all bins of the grid.
+
+    Any delta strictly between the two endpoints yields a violation fraction
+    strictly inside (0, 1); bins outside both supports pin the minimum to 0.
+    """
+    flats, diffs = support_differences(test, base)
+    d_min = float(diffs.min()) if flats.size == test.scheme.total_bins else 0.0
+    return d_min, float(diffs.max(initial=0.0))
 
 
 class TestExactQuery:

@@ -8,8 +8,8 @@ from subspace_audit.errors import (AlignmentError, ConvergenceError,
                                    ParameterError, SupportSizeError)
 from subspace_audit.histogram import (BinningScheme, FeatureSpec,
                                       ProbabilityHistogram)
-from subspace_audit.transport import (CostMatrix, kantorovich_lp, sinkhorn,
-                                      wasserstein_1d, wasserstein_nd)
+from subspace_audit.transport import (kantorovich_lp, sinkhorn, wasserstein_1d,
+                                      wasserstein_nd)
 
 
 def line_scheme(bins, lower=0.0, upper=None):
@@ -145,17 +145,6 @@ class TestKantorovichLp:
             kantorovich_lp([0.5, 0.5], [0.5, 0.5], np.array([[np.inf, 0], [0, 0]]))
         with pytest.raises(ParameterError):
             kantorovich_lp([0.5, 0.5], [1.0], c)
-
-    def test_accepts_cost_matrix_type(self):
-        cm = CostMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), metric="|x-y|")
-        plan = kantorovich_lp([0.5, 0.5], [0.5, 0.5], cm)
-        assert plan.cost == pytest.approx(0.0, abs=1e-12)
-
-    def test_cost_matrix_validation(self):
-        with pytest.raises(ParameterError):
-            CostMatrix(np.array([1.0, 2.0]))
-        with pytest.raises(ParameterError):
-            CostMatrix(np.array([[-1.0, 0.0], [0.0, 0.0]]))
 
 
 class TestSinkhorn:

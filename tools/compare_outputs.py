@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Run a fixed list of CLI commands against one source tree, for byte-identity checks.
+
+    python tools/compare_outputs.py SRC INPUTS OUT
+
+SRC is a `src/` directory holding the `subspace_audit` package, INPUTS a
+directory of input files (created and filled on the first run, reused
+afterwards) and OUT the directory that receives every output.  OUT gets
+each histogram file, sweep CSV and generated table, plus `log.txt` with the
+stdout and exit code of every command; manifests are deleted because they
+carry a timestamp.  Two source trees produce the same results when
+
+    python tools/compare_outputs.py OLD/src inputs out-old
+    python tools/compare_outputs.py src inputs out-new
+    diff -r out-old out-new
+
+prints nothing.  The inputs are the criterion-10 fixture of the acceptance
+tests (`synth --rows 4000 --seed 33`, its scheme and its sweep config with
+the transport baseline) and those of the three benchmark workloads at seed 1.
+The commands are `synth`, `bin`, exact and subsampled `query`,
+`sample-size`, `distance --method exact` and `sweep`.
+"""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 1
+
+
+def main(src: str, inputs_dir: str, out: str) -> None:
+    sys.path.insert(0, os.path.abspath(src))
+    sys.path.insert(0, os.path.join(ROOT, "auditbench"))
+    from click.testing import CliRunner
+
+    import checks
+    import inputs as bench
+    from subspace_audit.cli import main as cli
+
+    fresh = not os.path.isdir(inputs_dir)
+    os.makedirs(inputs_dir, exist_ok=True)
+    os.makedirs(out, exist_ok=True)
+    runner = CliRunner()
+    log = open(os.path.join(out, "log.txt"), "w", encoding="utf-8")
+
+    def I(name):  # noqa: E743
+        return os.path.join(inputs_dir, name)
+
+    def O(name):  # noqa: E743
+        return os.path.join(out, name)
+
+    def write(name, text):
+        with open(I(name), "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+    def run(*args):
+        args = [str(a) for a in args]
+        result = runner.invoke(cli, args)
+        if result.exception is not None and not isinstance(result.exception, SystemExit):
+            raise result.exception
+        shown = " ".join(a.replace(out, "OUT").replace(inputs_dir, "IN") for a in args)
+        log.write(f"$ {shown}\nexit={result.exit_code}\n{result.stdout.replace(out, 'OUT')}")
+
+    # criterion-10 fixture
+    scheme = "feature.score = continuous:0:10:8\nfeature.age = continuous:18:80:5\n"
+    if fresh:
+        write("c10-scheme.cfg", scheme)
+        write("c10-sweep.cfg", scheme + "protected = SEX\nsubgroup = Female\neps = 0.2,0.4\n"
+              "samples = 5,20\ntrials = 200\nseed = 271828\nbaseline = wasserstein\n"
+              "threshold_factor = 1.25\nbaseline_trials = 8\n")
+    run("synth", "--rows", 4000, "--seed", 33, "--out", O("c10.csv"))
+    for flt, name in (("SEX=Female", "c10-fem.hist"), (None, "c10-all.hist"),
+                      ("SEX!=Female", "c10-male.hist")):
+        run("bin", "--data", O("c10.csv"), "--config", I("c10-scheme.cfg"), "--out", O(name),
+            *(["--filter", flt] if flt else []))
+    for delta in ("0", "1e-06", "0.001", "0.01", "0.05", "0.1", "1.0"):
+        for reference in ("c10-all.hist", "c10-male.hist"):
+            run("query", "--reference", O(reference), "--test", O("c10-fem.hist"), "--delta", delta)
+    for delta, samples, seed in (("0.001", 12, 5), ("0.01", 40, 7), ("0", 5, 1), ("0.05", 40, 3),
+                                 ("1e-06", 30, 11), ("0.001", 40, 0)):
+        run("query", "--reference", O("c10-all.hist"), "--test", O("c10-fem.hist"),
+            "--delta", delta, "--samples", samples, "--seed", seed)
+    run("query", "--reference", O("c10-all.hist"), "--test", O("c10-all.hist"), "--delta", "0")
+    for args in (("0.5", "0.5", "1"), ("0.05", "0.05", "2", "--total-bins", "100"),
+                 ("0.05", "0.05", "5", "--total-bins", "2097152"), ("0.1", "0.01", "3")):
+        run("sample-size", "--eps", args[0], "--delta", args[1], "--n-features", *args[2:])
+    for a, b, p in (("c10-fem.hist", "c10-all.hist", "2"), ("c10-fem.hist", "c10-all.hist", "1"),
+                    ("c10-all.hist", "c10-all.hist", "2")):
+        run("distance", "--a", O(a), "--b", O(b), "--p", p, "--method", "exact")
+    run("sweep", "--config", I("c10-sweep.cfg"), "--data", O("c10.csv"), "--out", O("c10-sweep.csv"))
+
+    # subgroup-audit inputs
+    if fresh:
+        write("audit.csv", bench.audit_table(SEED))
+        write("audit.cfg", bench.scheme_config(bench.AUDIT_SCHEME))
+    shape = bench.grid_shape(bench.AUDIT_SCHEME)
+    n_total = 1
+    for width in shape:
+        n_total *= width
+    budget = checks.expected_budget(0.05, 0.05, len(shape), n_total)[1]
+    run("bin", "--data", I("audit.csv"), "--config", I("audit.cfg"), "--out", O("audit-pop.hist"))
+    run("sample-size", "--eps", "0.05", "--delta", "0.05", "--n-features", len(shape),
+        "--total-bins", n_total)
+    for g, label in enumerate(bench.AUDIT_GROUPS):
+        name = f"audit-g{g}.hist"
+        run("bin", "--data", I("audit.csv"), "--config", I("audit.cfg"), "--out", O(name),
+            "--filter", f"GROUP={label}")
+        for delta in (repr(bench.AUDIT_DELTA), "0.005"):
+            query = ["query", "--reference", O("audit-pop.hist"), "--test", O(name), "--delta", delta]
+            run(*query)
+            for samples in (budget, 64):
+                run(*query, "--samples", samples, "--seed", bench.derive_seed(SEED, 2, 0, g, samples))
+
+    # supnorm-sweep and transport-baseline inputs
+    if fresh:
+        write("synth.cfg", bench.scheme_config(bench.SWEEP_SCHEME))
+        write("supnorm.cfg", bench.sweep_config(SEED, 10_000))
+        write("transport.cfg", bench.sweep_config(SEED, 200, 2, samples=(50, 100, 200)))
+    run("synth", "--rows", bench.SYNTH_ROWS, "--seed", bench.derive_seed(SEED, 4),
+        "--out", O("synth.csv"))
+    budget = checks.expected_budget(0.05, 0.05, 2, 500)[1]
+    run("bin", "--data", O("synth.csv"), "--config", I("synth.cfg"), "--out", O("synth-pop.hist"))
+    for g, value in enumerate(("Female", "Male")):
+        name = f"synth-g{g}.hist"
+        run("bin", "--data", O("synth.csv"), "--config", I("synth.cfg"), "--out", O(name),
+            "--filter", f"SEX={value}")
+        for d, delta in enumerate(bench.SWEEP_DELTAS):
+            query = ["query", "--reference", O("synth-pop.hist"), "--test", O(name),
+                     "--delta", repr(delta)]
+            run(*query)
+            for samples in (budget, 64):
+                run(*query, "--samples", samples,
+                    "--seed", bench.derive_seed(SEED, 2, 0, g, d, samples))
+    run("distance", "--a", O("synth-g0.hist"), "--b", O("synth-pop.hist"), "--p", "2",
+        "--method", "exact")
+    run("sweep", "--config", I("supnorm.cfg"), "--data", O("synth.csv"), "--out", O("supnorm.csv"),
+        "--threads", "1")
+    run("sweep", "--config", I("transport.cfg"), "--data", O("synth.csv"),
+        "--out", O("transport.csv"), "--threads", "2")
+
+    log.close()
+    for name in os.listdir(out):
+        if name.endswith(".manifest.json"):
+            os.unlink(os.path.join(out, name))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 4:
+        raise SystemExit(__doc__)
+    main(*sys.argv[1:])
