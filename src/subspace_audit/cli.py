@@ -3,8 +3,11 @@
 Exit codes: 0 success (and "inside" for query), 1 query verdict "outside",
 2 parameter/schema/input problems, 3 incompatible binning schemes.  Every
 run that writes files also writes a `<out>.manifest.json` sidecar with the
-seed, config echo, and input fingerprints; outputs are written atomically
-and are byte-identical across reruns with the same inputs and seed.
+seed, config echo, and input fingerprints; a sweep's manifest also records,
+under `run`, what the run derived (band half-widths, the baseline's full-data
+distance and threshold, dropped records, measure fingerprints).  Outputs are
+written atomically and are byte-identical across reruns with the same inputs
+and seed.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ def main():
 
 
 def _write_manifest(out_path: str, command: str, params: dict,
-                    seed: int | None, inputs: list[str]) -> None:
+                    seed: int | None, inputs: list[str], run: dict | None = None) -> None:
     manifest = {
         "command": command,
         "config": params,
@@ -58,6 +61,8 @@ def _write_manifest(out_path: str, command: str, params: dict,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
+    if run is not None:
+        manifest["run"] = run
     atomic_write_text(out_path + ".manifest.json",
                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -185,7 +190,8 @@ def cmd_sample_size(eps, delta_prob, n_features, total_bins, union_constant):
               help="Result CSV; a baseline run adds <out>.wasserstein.csv.")
 @click.option("--seed", type=int, default=None, help="Overrides the config master seed.")
 @click.option("--threads", type=int, default=None, envvar="SUBSPACE_AUDIT_THREADS",
-              help="Worker cap for grid cells (env: SUBSPACE_AUDIT_THREADS).")
+              help="Cap on concurrent baseline transport solves "
+                   "(env: SUBSPACE_AUDIT_THREADS).")
 @click.option("--baseline", type=click.Choice(["none", "wasserstein"]), default=None,
               help="Overrides the config baseline choice.")
 def cmd_sweep(config_path, data, out, seed, threads, baseline):
@@ -206,16 +212,18 @@ def cmd_sweep(config_path, data, out, seed, threads, baseline):
         result = run_supnorm_sweep(sweep_cfg, test_measure, reference_measure)
         atomic_write_text(out, result.to_csv())
         outputs = {"supnorm": os.path.basename(out)}
+        derived = {"supnorm": result.metadata}
         if sweep_cfg.baseline is not None:
             baseline_result = run_wasserstein_sweep(sweep_cfg, test_rows, reference_rows)
             baseline_out = out + ".wasserstein.csv"
             atomic_write_text(baseline_out, baseline_result.to_csv())
             outputs["wasserstein"] = os.path.basename(baseline_out)
+            derived["wasserstein"] = baseline_result.metadata
         _write_manifest(out, "sweep",
                         {"config_echo": cfg, "overrides": {
                             "seed": seed, "threads": threads, "baseline": baseline},
                          "outputs": outputs},
-                        seed=sweep_cfg.seed, inputs=[data, config_path])
+                        seed=sweep_cfg.seed, inputs=[data, config_path], run=derived)
     except AuditError as exc:
         _fail(exc)
     click.echo(f"wrote {out} ({len(result.rows)} rows)")

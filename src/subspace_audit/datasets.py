@@ -7,6 +7,7 @@ import io
 
 import numpy as np
 
+from .errors import SchemaError
 from .fileio import atomic_write_text, read_text
 
 COLUMNS = ("SEX", "score", "age")
@@ -50,5 +51,11 @@ def write_synthetic_csv(path: str, n_rows: int = DEFAULT_ROWS,
 
 
 def read_csv_records(path: str) -> list[dict[str, str]]:
-    """Load a UTF-8 CSV into a list of row dicts (header required)."""
-    return list(csv.DictReader(io.StringIO(read_text(path), newline="")))
+    """Load a UTF-8 CSV into a list of row dicts (header required).
+
+    Raises SchemaError naming the file when it is not UTF-8 or not valid CSV.
+    """
+    try:
+        return list(csv.DictReader(io.StringIO(read_text(path), newline="")))
+    except csv.Error as exc:
+        raise SchemaError(f"{path} is not valid CSV: {exc}") from exc

@@ -308,8 +308,8 @@ def ingest_csv(source: Source, scheme: BinningScheme,
     tallied in the result's `skipped` field.
 
     Raises SchemaError when the header lacks a feature (or filter) column or
-    the source is not UTF-8 CSV, and EmptyInputError when no records survive
-    — a zero-total histogram is never produced.
+    the source is not UTF-8 or not valid CSV, and EmptyInputError when no
+    records survive — a zero-total histogram is never produced.
     """
     close, stream = _as_text_stream(source)
     try:
@@ -334,8 +334,10 @@ def ingest_csv(source: Source, scheme: BinningScheme,
                 keep = record_filter.mask(columns[position[record_filter.column]])
                 picked = [list(compress(column, keep)) for column in picked]
             chunks.append(scheme.bin_columns(picked))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise SchemaError(f"{getattr(source, 'name', source)} is not UTF-8 CSV: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{getattr(source, 'name', source)} is not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise SchemaError(f"{getattr(source, 'name', source)} is not valid CSV: {exc}") from exc
     finally:
         if close:
             stream.close()

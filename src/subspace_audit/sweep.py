@@ -9,9 +9,12 @@ baseline curve.  Records become flat bin ids through the scheme's column
 binner, measures are counted from those ids, and each cell's violation mask
 is scattered from the violating ids of `query.violation_report`.
 
-Trials within a cell are embarrassingly parallel: every trial seed is derived
-from the master seed by counter-based mixing, so results are independent of
-scheduling and bit-identical across reruns.
+Every trial seed is derived from the master seed by counter-based mixing,
+so trials can run in any order and results are bit-identical across reruns.
+The sup-norm trials run serially: they hold the GIL, so threads only slow
+them down.  The baseline's transport solves run on a pool of
+`SweepConfig.threads` workers, because the solver releases the GIL, and are
+reduced in (sample size, trial) order, so the thread count changes no result.
 """
 
 from __future__ import annotations
@@ -101,7 +104,10 @@ class WassersteinBaseline:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid description for one sweep run."""
+    """Grid description for one sweep run.
+
+    `threads` caps how many baseline transport solves run at once.
+    """
 
     scheme: BinningScheme
     protected_column: str
@@ -220,7 +226,7 @@ def run_supnorm_sweep(config: SweepConfig, test: ProbabilityHistogram,
 
     Cells whose exact verdict is already inside admit no one-sided error and
     are recorded with nan rates rather than failing the run.  Deterministic
-    given config.seed regardless of thread count.
+    given config.seed.
     """
     if test.scheme != reference.scheme:
         raise AlignmentError("histograms use different binning schemes")
@@ -235,12 +241,11 @@ def run_supnorm_sweep(config: SweepConfig, test: ProbabilityHistogram,
     else:
         deltas = list(config.delta_grid)
 
-    def run_cell(item: tuple[int, float]) -> list[SweepRow]:
-        cell_idx, delta = item
+    rows: list[SweepRow] = []
+    for cell_idx, delta in enumerate(deltas):
         band = ReferenceBand(base=reference, delta=delta)
         report = violation_report(test, band)
         k = report.count_k
-        rows: list[SweepRow] = []
         mask = violation_mask(test, band) if k > 0 else None
         for s_idx, size in enumerate(config.sample_sizes):
             if k == 0:
@@ -255,16 +260,7 @@ def run_supnorm_sweep(config: SweepConfig, test: ProbabilityHistogram,
             rows.append(SweepRow(eps=report.fraction, delta=delta, samples=size,
                                  empirical_error=empirical, analytic_error=analytic,
                                  stderr=stderr, trials=config.trials))
-        return rows
 
-    items = list(enumerate(deltas))
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            chunks = list(pool.map(run_cell, items))
-    else:
-        chunks = [run_cell(item) for item in items]
-
-    rows = tuple(row for chunk in chunks for row in chunk)
     metadata = {
         "kind": "supnorm",
         "seed": config.seed,
@@ -276,7 +272,7 @@ def run_supnorm_sweep(config: SweepConfig, test: ProbabilityHistogram,
         "test_fingerprint": _fingerprint(test),
         "reference_fingerprint": _fingerprint(reference),
     }
-    return SweepResult(rows=rows, metadata=metadata)
+    return SweepResult(rows=tuple(rows), metadata=metadata)
 
 
 def subgroup_split(records: Iterable[Mapping[str, str]], protected_column: str,
@@ -332,6 +328,8 @@ def run_wasserstein_sweep(config: SweepConfig,
     inside iff the subsample's distance stays below the threshold.  An error
     is any disagreement with the full-data decision.  Per-trial decisions are
     Bernoulli, so the stderr column doubles as the standard-deviation band.
+    The full-data solve and every trial's solve share one pool of
+    `config.threads` workers; the result does not depend on that count.
     """
     baseline = config.baseline or WassersteinBaseline()
     scheme = config.scheme
@@ -347,21 +345,30 @@ def run_wasserstein_sweep(config: SweepConfig,
     reference = measure_from_flats(ref_flats, scheme)
     full_test = measure_from_flats(test_flats, scheme)
     distance = _distance_fn(scheme, baseline)
-    w_full = distance(full_test, reference)
-    threshold = baseline.threshold_factor * w_full
-    full_inside = w_full < threshold
     trials = baseline.trials if baseline.trials is not None else config.trials
 
+    def subsample_distance(s_idx: int, size: int, trial: int) -> float:
+        rng = np.random.default_rng(trial_seed(config.seed, _BASELINE_STREAM, s_idx, trial))
+        pick = sample_flat_indices(group, size, rng)
+        return distance(measure_from_flats(test_flats[pick], scheme), reference)
+
+    # The solver releases the GIL, so the solves overlap; results are read
+    # back in (size, trial) order, which keeps the output schedule-free.
+    pool = ThreadPoolExecutor(max_workers=config.threads)
+    try:
+        full = pool.submit(distance, full_test, reference)
+        solves = [[pool.submit(subsample_distance, s_idx, size, trial) for trial in range(trials)]
+                  for s_idx, size in enumerate(config.sample_sizes)]
+        w_full = full.result()
+        cells = [[solve.result() for solve in row] for row in solves]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    threshold = baseline.threshold_factor * w_full
+    full_inside = w_full < threshold
+
     rows: list[SweepRow] = []
-    for s_idx, size in enumerate(config.sample_sizes):
-        errors = 0
-        for trial in range(trials):
-            rng = np.random.default_rng(
-                trial_seed(config.seed, _BASELINE_STREAM, s_idx, trial))
-            pick = sample_flat_indices(group, size, rng)
-            sub = measure_from_flats(test_flats[pick], scheme)
-            inside = distance(sub, reference) < threshold
-            errors += inside != full_inside
+    for size, distances in zip(config.sample_sizes, cells):
+        errors = sum((w < threshold) != full_inside for w in distances)
         rate = errors / trials
         stderr = math.sqrt(rate * (1.0 - rate) / trials)
         rows.append(SweepRow(eps=math.nan, delta=math.nan, samples=size,

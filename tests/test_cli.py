@@ -184,6 +184,23 @@ class TestMalformedInput:
             assert name in result.output
 
 
+    @pytest.mark.parametrize("command", ["bin", "sweep"])
+    def test_csv_syntax_error_exit_2_naming_the_file(self, workspace, command):
+        runner, root = workspace
+        # one field above the csv module's 131072-character limit
+        (root / "long.csv").write_text("SEX,score,age\nFemale,1.5,30\n"
+                                       f"Male,{'9' * 200_000},40\n")
+        if command == "bin":
+            args = ["bin", "--data", root / "long.csv", "--config", root / "scheme.cfg",
+                    "--out", root / "x.hist"]
+        else:
+            args = ["sweep", "--config", root / "sweep.cfg", "--data", root / "long.csv",
+                    "--out", root / "o.csv"]
+        result = run(runner, args)
+        assert result.exit_code == 2, result.output
+        assert "long.csv is not valid CSV" in result.output
+
+
 class TestSampleSize:
     def test_example_row(self):
         # d = vc_dimension_bound(1) = 7, s = ceil(112 * ln 112) = 529
@@ -264,6 +281,29 @@ class TestSweep:
         baseline = (root / "wb.csv.wasserstein.csv").read_text().strip().splitlines()
         assert baseline[0] == "eps,delta,s,empirical_error,analytic_error,stderr,trials"
         assert len(baseline) == 1 + 2
+
+    def test_manifest_records_derived_run(self, workspace):
+        runner, root = workspace
+        (root / "wb.cfg").write_text(SWEEP_CFG + "baseline = wasserstein\np = 2\n"
+                                     "threshold_factor = 1.25\nbaseline_trials = 4\n")
+        result = run(runner, ["sweep", "--config", root / "wb.cfg",
+                              "--data", root / "data.csv", "--out", root / "wb.csv"])
+        assert result.exit_code == 0, result.output
+        derived = json.loads((root / "wb.csv.manifest.json").read_text())["run"]
+        assert len(derived["supnorm"]["deltas"]) == 2
+        baseline = derived["wasserstein"]
+        assert baseline["threshold"] == 1.25 * baseline["full_distance"]
+        assert baseline["full_inside"] is True
+        assert baseline["dropped_test"] == baseline["dropped_reference"] == 0
+        for flt, name in (("SEX=Female", "fem.hist"), (None, "all.hist")):
+            args = ["bin", "--data", root / "data.csv", "--config", root / "scheme.cfg",
+                    "--out", root / name]
+            assert run(runner, args + (["--filter", flt] if flt else [])).exit_code == 0
+        printed = run(runner, ["distance", "--a", root / "fem.hist", "--b", root / "all.hist",
+                               "--p", "2"])
+        assert printed.exit_code == 0, printed.output
+        distance = float(printed.output.split(",")[0])
+        assert baseline["full_distance"] == pytest.approx(distance, rel=1e-12)
 
 
 class TestDistance:

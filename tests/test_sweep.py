@@ -337,6 +337,22 @@ class TestRunWassersteinSweep:
         b = run_wasserstein_sweep(cfg, self.test_rows, self.ref_rows)
         assert a.rows == b.rows
 
+    def test_thread_count_changes_nothing(self):
+        # two features send every solve through the transport LP on the pool
+        scheme = BinningScheme((FeatureSpec.continuous("x", 0, 1, 6),
+                                FeatureSpec.continuous("y", 0, 1, 5)))
+        rng = np.random.default_rng(17)
+        rows = [{"SEX": "Female" if female else "Male",
+                 "x": f"{rng.beta(2, 3 if female else 2):.6f}", "y": f"{rng.random():.6f}"}
+                for female in rng.random(1500) < 0.4]
+        test_rows, ref_rows = subgroup_split(rows, "SEX", "Female")
+        results = [run_wasserstein_sweep(
+            self.config(scheme=scheme, sample_sizes=(20, 80), threads=threads,
+                        baseline=WassersteinBaseline(threshold_factor=1.25, trials=12)),
+            test_rows, ref_rows) for threads in (1, 2, 4)]
+        assert len({r.to_csv() for r in results}) == 1
+        assert results[0].metadata == results[1].metadata == results[2].metadata
+
     def test_oversized_sample_rejected(self):
         cfg = self.config(sample_sizes=(10**6,))
         with pytest.raises(BudgetError):
