@@ -11,8 +11,7 @@ on a (d+1)-partite graph whose arcs change one coordinate each (Auricchio,
 Bassetti, Gualandi & Veneroni, NeurIPS 2018); its optimum is certified by
 the node potentials in the same way.  It replaces the |supp a| * |supp b|
 dense variables by roughly |supp| * sum_k n_k arcs and never builds the
-dense cost matrix; `wasserstein_nd` falls back to the dense LP when the
-pruned graph would be larger.  An entropic-regularized approximation runs
+dense cost matrix.  An entropic-regularized approximation runs
 log-domain scaling iterations with a stepped regularization schedule, so
 small regularizations neither overflow nor stall.
 
@@ -352,11 +351,6 @@ class _GridLayers:
         self.sizes = [p.size * s.size for p, s in zip(self.prefixes, self.suffixes)]
         self.offsets = np.cumsum([0] + self.sizes)
 
-    def arc_count(self) -> int:
-        """Arcs from layer k to k + 1: one per (prefix of length k + 1, suffix from k)."""
-        return sum(self.prefixes[k + 1].size * self.suffixes[k].size
-                   for k in range(len(self.sizes) - 1))
-
     def stage(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Tail node, head node and cost of every arc from layer k to k + 1.
 
@@ -436,9 +430,8 @@ def wasserstein_nd(a: ProbabilityHistogram, b: ProbabilityHistogram, p: float = 
     Ground cost is the Euclidean distance between bin-center coordinate
     vectors raised to p, built over non-empty bins only.  method="exact"
     solves the transport problem to a certified optimum: for p = 2 as a
-    min-cost flow on the layered grid graph (see `_grid_w2`), unless that
-    graph has more arcs than the transportation LP has variables, and
-    otherwise as the transportation LP.  method="entropic" runs the scaling
+    min-cost flow on the layered grid graph (see `_grid_w2`), otherwise as
+    the transportation LP.  method="entropic" runs the scaling
     solver at reg = reg_factor * max cost.  With with_plan=True returns
     (distance, TransportPlan) — the plan lives on the two supports, ordered
     by bin index.
@@ -457,9 +450,9 @@ def wasserstein_nd(a: ProbabilityHistogram, b: ProbabilityHistogram, p: float = 
             f"support product {wa.size}x{wb.size} exceeds "
             f"{max_exact_entries} entries; use method='entropic'")
 
-    layers = _GridLayers(a.scheme, flats_a, flats_b) if method == "exact" and p == 2 else None
-    if layers is not None and layers.arc_count() <= wa.size * wb.size:
-        plan = _grid_w2(layers, _as_marginal(wa, "first marginal"),
+    if method == "exact" and p == 2:
+        plan = _grid_w2(_GridLayers(a.scheme, flats_a, flats_b),
+                        _as_marginal(wa, "first marginal"),
                         _as_marginal(wb, "second marginal"), with_plan)
     else:
         pts_a, pts_b = _points(a.scheme, flats_a), _points(b.scheme, flats_b)
