@@ -26,11 +26,10 @@ from .datasets import read_csv_records, write_synthetic_csv
 from .errors import AlignmentError, AuditError
 from .fileio import atomic_write_text, sha256_file
 from .histogram import (JointHistogram, ProbabilityHistogram, RecordFilter,
-                        gather, ingest_csv, normalize, read_histogram,
-                        write_histogram)
+                        ingest_csv, normalize, read_histogram, write_histogram)
 from .pac import SampleBudget, analytic_false_positive
-from .query import (ReferenceBand, subsampled_query, support_differences,
-                    verdict_record, violation_report)
+from .query import (ReferenceBand, subsampled_query, verdict_record,
+                    violation_report)
 from .sweep import (measure_from_records, run_supnorm_sweep,
                     run_wasserstein_sweep, subgroup_split)
 from .transport import wasserstein_nd
@@ -144,10 +143,8 @@ def cmd_query(reference, test_path, delta, samples, seed):
                 seed = int.from_bytes(os.urandom(8), "big")
                 click.echo(f"generated seed: {seed}", err=True)
             outcome = subsampled_query(test, band, samples, seed)
-            sampled = test.scheme.flat_ids(outcome.sampled_bins)
-            diffs = gather(*support_differences(test, base), sampled)
-            eps_hat = (diffs >= delta).mean()
-            line = verdict_record(outcome, delta, eps_hat, diffs.max())
+            diffs = outcome.sampled_diffs
+            line = verdict_record(outcome, delta, (diffs >= delta).mean(), diffs.max())
     except AuditError as exc:
         _fail(exc)
     click.echo(line)

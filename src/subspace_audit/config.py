@@ -87,6 +87,8 @@ def sweep_config_from(cfg: dict[str, str], scheme: BinningScheme, *,
         if seed_text is None:
             raise SchemaError("config is missing required key: seed (or pass --seed)")
         seed = _int(cfg, "seed")
+    if threads is None:
+        threads = _int(cfg, "threads") if "threads" in cfg else 1
     baseline_name = baseline if baseline is not None else cfg.get("baseline", "none")
     if baseline_name not in ("none", "wasserstein"):
         raise SchemaError(f"bad value for config key baseline: {baseline_name!r}")
@@ -108,7 +110,7 @@ def sweep_config_from(cfg: dict[str, str], scheme: BinningScheme, *,
         eps_grid=tuple(eps_grid),
         delta_grid=tuple(delta_grid),
         baseline=baseline_obj,
-        threads=threads if threads is not None else int(cfg.get("threads", "1")),
+        threads=threads,
     )
 
 

@@ -9,6 +9,12 @@ answering "inside" for a measure that is outside — it never rejects a measure
 that is inside, and any rejection carries a witness bin that can be rechecked
 directly.
 
+Bin samples are keyed by seed: the sample for seed S is the first draw of
+`Generator(Philox(key=S))`, so a seed is any integer in [0, 2**128) and
+names one counter-based stream (Salmon et al., SC 2011).  `KeyedSampler`
+draws them for queries and Monte-Carlo trials alike, and each draw costs
+O(sample size) at any grid size (`sample_flat_indices`).
+
 Every per-bin difference comes from one kernel, `support_differences`, which
 works on the histograms' flat-id arrays: the union of the two supports and
 |test - base| on it.  Bins outside both supports differ by exactly zero.
@@ -20,6 +26,7 @@ distinct seeds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,9 +35,9 @@ import numpy as np
 from .errors import AlignmentError, BudgetError, ParameterError
 from .histogram import BinningScheme, Index, ProbabilityHistogram, gather
 
-# Grids up to this size take a slice of a full permutation when sampling;
-# larger grids reject duplicates so memory stays O(sample size).
-_PERMUTE_LIMIT = 1 << 22
+_SEED_LIMIT = 1 << 128  # seeds are Philox keys
+_LOW64 = (1 << 64) - 1
+_ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -78,19 +85,36 @@ class ViolationReport:
         return QueryOutcome(inside=False, witness=self.scheme.unflatten(first))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QueryOutcome:
     """Verdict of a band membership test.
 
     `witness` names a genuinely violated bin whenever `inside` is False.
-    Subsampled verdicts also record the sampled bins and the seed, so a run
-    can be replayed exactly.
+    Subsampled verdicts also record the seed, the sampled flat bin ids in
+    draw order (`sampled_flats`) and their differences |test - base|
+    (`sampled_diffs`), so a run can be replayed exactly; `sampled_bins`
+    gives the sampled multi-indices, built on request.  Outcomes compare
+    equal when verdict, witness, seed and sampled bins agree.
     """
 
     inside: bool
     witness: Index | None = None
-    sampled_bins: tuple[Index, ...] | None = None
     seed: int | None = None
+    scheme: BinningScheme | None = None
+    sampled_flats: np.ndarray | None = None
+    sampled_diffs: np.ndarray | None = None
+
+    @property
+    def sampled_bins(self) -> tuple[Index, ...] | None:
+        if self.sampled_flats is None:
+            return None
+        return self.scheme.indices(self.sampled_flats)
+
+    def __eq__(self, other):
+        if not isinstance(other, QueryOutcome):
+            return NotImplemented
+        return ((self.inside, self.witness, self.seed, self.sampled_bins)
+                == (other.inside, other.witness, other.seed, other.sampled_bins))
 
 
 @lru_cache(maxsize=4)
@@ -143,25 +167,46 @@ def violation_report(test: ProbabilityHistogram, band: ReferenceBand) -> Violati
 def sample_flat_indices(n_total: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample of `size` distinct flat bin ids from range(n_total).
 
-    Without replacement and deterministic given the generator state.  Small
-    grids slice a full permutation; large grids draw with rejection so the
-    sparse bin storage never biases which ids can appear.
+    Without replacement, in draw order, and deterministic given the generator
+    state.  The cost is O(size) at any grid size.  A sample of more than half
+    the grid is a prefix of a full permutation, which then costs under
+    O(2 size).  A smaller one is numpy's `choice(replace=False)`: Floyd's
+    algorithm (Bentley & Floyd, CACM 1987), or a partial shuffle when the
+    sample exceeds a fiftieth of a grid over 10 000 bins.  Floyd's hash set
+    crowds as `size` nears `n_total`, hence the permutation above half.
     """
     if not 1 <= size <= n_total:
         raise BudgetError(f"sample size {size} outside [1, {n_total}]")
-    if n_total <= _PERMUTE_LIMIT:
+    if 2 * size > n_total:
         return rng.permutation(n_total)[:size]
-    chosen: set[int] = set()
-    out: list[int] = []
-    while len(out) < size:
-        batch = rng.integers(0, n_total, size=2 * (size - len(out)) + 8)
-        for value in batch.tolist():
-            if value not in chosen:
-                chosen.add(value)
-                out.append(value)
-                if len(out) == size:
-                    break
-    return np.asarray(out, dtype=np.int64)
+    return rng.choice(n_total, size, replace=False)
+
+
+class KeyedSampler:
+    """Bin samples keyed by seed.
+
+    `sampler(n_total, size, seed)` equals
+    `sample_flat_indices(n_total, size, Generator(Philox(key=seed)))`.  One
+    Philox generator is reset through its public state to key `seed`,
+    counter 0 and an empty buffer for each draw, about a sixth of the cost
+    of building a new one.  Not thread-safe: give each thread its own.
+    """
+
+    def __init__(self):
+        self._bits = np.random.Philox(key=0)
+        self._rng = np.random.Generator(self._bits)
+
+    def __call__(self, n_total: int, size: int, seed: int) -> np.ndarray:
+        seed = operator.index(seed)
+        if not 0 <= seed < _SEED_LIMIT:
+            raise ParameterError(f"seed {seed} outside [0, 2**128)")
+        self._bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO4,
+                      "key": np.array([seed & _LOW64, seed >> 64], dtype=np.uint64)},
+            "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        return sample_flat_indices(n_total, size, self._rng)
 
 
 def subsampled_query(test: ProbabilityHistogram, band: ReferenceBand,
@@ -172,16 +217,16 @@ def subsampled_query(test: ProbabilityHistogram, band: ReferenceBand,
     reject.  Acceptance may be a false positive; with K violating bins out of
     N, the chance of missing all of them is hypergeometric in (N, K, size) —
     see pac.analytic_false_positive for the exact law.  Identical (inputs,
-    size, seed) produce the identical sampled set and verdict.  The witness
-    is the first violating bin in draw order.
+    size, seed) produce the identical sampled set and verdict; the seed must
+    lie in [0, 2**128).  The witness is the first violating bin in draw order.
     """
     support, diffs = support_differences(test, band.base)
-    flats = sample_flat_indices(test.scheme.total_bins, size, np.random.default_rng(seed))
-    hits = np.flatnonzero(gather(support, diffs, flats) >= band.delta)
-    sampled = test.scheme.indices(flats)
-    return QueryOutcome(inside=hits.size == 0,
-                        witness=sampled[hits[0]] if hits.size else None,
-                        sampled_bins=sampled, seed=seed)
+    flats = KeyedSampler()(test.scheme.total_bins, size, seed)
+    sampled = gather(support, diffs, flats)
+    hits = np.flatnonzero(sampled >= band.delta)
+    witness = test.scheme.unflatten(int(flats[hits[0]])) if hits.size else None
+    return QueryOutcome(inside=hits.size == 0, witness=witness, seed=seed,
+                        scheme=test.scheme, sampled_flats=flats, sampled_diffs=sampled)
 
 
 def verdict_record(outcome: QueryOutcome, delta: float,
@@ -195,7 +240,7 @@ def verdict_record(outcome: QueryOutcome, delta: float,
     fields = [
         "TRUE" if outcome.inside else "FALSE",
         repr(float(delta)),
-        "" if outcome.sampled_bins is None else str(len(outcome.sampled_bins)),
+        "" if outcome.sampled_flats is None else str(outcome.sampled_flats.size),
         "" if outcome.seed is None else str(outcome.seed),
         "" if outcome.witness is None else ";".join(str(i) for i in outcome.witness),
         "" if eps_hat is None else repr(float(eps_hat)),

@@ -9,8 +9,13 @@ baseline curve.  Records become flat bin ids through the scheme's column
 binner, measures are counted from those ids, and each cell's violation mask
 is scattered from the violating ids of `query.violation_report`.
 
-Every trial seed is derived from the master seed by counter-based mixing,
-so trials can run in any order and results are bit-identical across reruns.
+Every trial seed is derived from the master seed and the trial's cell by
+`SeedSequence` hashing, so trials can run in any order and results are
+bit-identical across reruns.  A sup-norm cell draws all its trial seeds at
+once (`trial_seeds`), and trial t checks the `KeyedSampler` draw keyed by
+the cell's t-th seed: the very bins that `query --samples s --seed <that
+seed>` checks.  The baseline's record subsamples keep one `trial_seed` and
+a `default_rng` permutation per trial.
 The sup-norm trials run serially: they hold the GIL, so threads only slow
 them down.  The baseline's transport solves run on a pool of
 `SweepConfig.threads` workers, because the solver releases the GIL, and are
@@ -32,7 +37,7 @@ from .errors import (AlignmentError, BudgetError, EmptyInputError,
                      ParameterError, SchemaError)
 from .histogram import BinningScheme, ProbabilityHistogram, format_histogram
 from .pac import analytic_false_positive
-from .query import (ReferenceBand, sample_flat_indices, support_differences,
+from .query import (KeyedSampler, ReferenceBand, support_differences,
                     violation_report)
 from .transport import wasserstein_1d, wasserstein_nd
 
@@ -43,13 +48,22 @@ _SUPNORM_STREAM = 0
 _BASELINE_STREAM = 1
 
 
-def trial_seed(master_seed: int, *path: int) -> int:
-    """Stable per-trial seed derived from (master, *path) by counter mixing.
+def trial_seeds(master_seed: int, cell: tuple[int, ...], trials: int) -> np.ndarray:
+    """Seeds (uint64) of trials 0 .. trials - 1 of one cell, drawn in bulk
+    from `SeedSequence((master_seed, *cell))`.
 
-    Trials can be replayed individually and in any order.
+    A trial's seed does not depend on `trials`, so any trial can be replayed
+    on its own: sup-norm trial t of sweep cell (eps index i, size index j)
+    checks the bins of `query --samples s --seed S` with
+    S = trial_seeds(master, (0, i, j), t + 1)[t].
     """
-    seq = np.random.SeedSequence((master_seed, *path))
-    return int(seq.generate_state(1, np.uint64)[0])
+    return np.random.SeedSequence((master_seed, *cell)).generate_state(trials, np.uint64)
+
+
+def trial_seed(master_seed: int, *path: int) -> int:
+    """The single seed of `SeedSequence((master_seed, *path))`; one per
+    baseline trial, whose path ends in the trial number."""
+    return int(trial_seeds(master_seed, path, 1)[0])
 
 
 class DeltaForTarget(NamedTuple):
@@ -194,13 +208,10 @@ def violation_mask(test: ProbabilityHistogram, band: ReferenceBand) -> np.ndarra
 
 def _empirical_rate(mask: np.ndarray, n_total: int, size: int, trials: int,
                     master_seed: int, cell_path: tuple[int, ...]) -> float:
-    false_positives = 0
-    for trial in range(trials):
-        rng = np.random.default_rng(trial_seed(master_seed, *cell_path, trial))
-        flats = sample_flat_indices(n_total, size, rng)
-        if not bool(mask[flats].any()):
-            false_positives += 1
-    return false_positives / trials
+    sample = KeyedSampler()
+    misses = sum(not mask[sample(n_total, size, seed)].any()
+                 for seed in trial_seeds(master_seed, cell_path, trials).tolist())
+    return misses / trials
 
 
 def estimate_false_positive_rate(test: ProbabilityHistogram, band: ReferenceBand,
@@ -209,9 +220,9 @@ def estimate_false_positive_rate(test: ProbabilityHistogram, band: ReferenceBand
     """Empirical share of subsampled runs answering inside when the exact
     verdict is outside.
 
-    Each trial replays subsampled_query with the seed
-    trial_seed(master_seed, *cell, trial); a dense violation mask makes the
-    per-trial check vectorizable without changing which sets get sampled.
+    Trial t replays subsampled_query with the seed
+    trial_seeds(master_seed, cell, trials)[t]; a dense violation mask makes
+    the per-trial check one lookup without changing which sets get sampled.
     """
     report = violation_report(test, band)
     if report.count_k == 0:
@@ -349,7 +360,7 @@ def run_wasserstein_sweep(config: SweepConfig,
 
     def subsample_distance(s_idx: int, size: int, trial: int) -> float:
         rng = np.random.default_rng(trial_seed(config.seed, _BASELINE_STREAM, s_idx, trial))
-        pick = sample_flat_indices(group, size, rng)
+        pick = rng.permutation(group)[:size]
         return distance(measure_from_flats(test_flats[pick], scheme), reference)
 
     # The solver releases the GIL, so the solves overlap; results are read

@@ -183,6 +183,24 @@ class TestMalformedInput:
             assert result.exit_code == 2, result.output
             assert name in result.output
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_key_range_exit_2(self, workspace, seed):
+        runner, root = workspace
+        assert run(runner, ["bin", "--data", root / "data.csv", "--config", root / "scheme.cfg",
+                            "--out", root / "all.hist"]).exit_code == 0
+        result = run(runner, ["query", "--reference", root / "all.hist", "--test",
+                              root / "all.hist", "--delta", "0.1", "--samples", "5",
+                              "--seed", seed])
+        assert result.exit_code == 2, result.output
+        assert "2**128" in result.output
+
+    def test_non_integer_threads_exit_2_naming_the_key(self, workspace):
+        runner, root = workspace
+        (root / "threads.cfg").write_text(SWEEP_CFG + "threads = two\n")
+        result = run(runner, ["sweep", "--config", root / "threads.cfg",
+                              "--data", root / "data.csv", "--out", root / "o.csv"])
+        assert result.exit_code == 2, result.output
+        assert "threads" in result.output
 
     @pytest.mark.parametrize("command", ["bin", "sweep"])
     def test_csv_syntax_error_exit_2_naming_the_file(self, workspace, command):

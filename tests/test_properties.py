@@ -1,6 +1,8 @@
 """Property tests: the histogram file format round-trips, malformed
-histogram files, config text and CSV bytes only ever raise AuditError, and
-the p = 2 grid flow agrees with the dense transportation LP."""
+histogram files, config text and CSV bytes only ever raise AuditError,
+whole `query` and `sweep` invocations with fuzzed seeds, budgets and config
+values only ever exit, and with 1 only on an "outside" verdict, and the
+p = 2 grid flow agrees with the dense transportation LP."""
 
 import io
 import json
@@ -9,10 +11,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subspace_audit import transport
+from subspace_audit.cli import main as cli
 from subspace_audit.config import parse_config
 from subspace_audit.errors import AuditError, ConvergenceError
 from subspace_audit.histogram import (BinningScheme, FeatureSpec,
@@ -155,6 +159,76 @@ CSV_SCHEME = BinningScheme((FeatureSpec.continuous("score", 0, 10, 4),
                  st.builds(b"score,sex\n".__add__, st.binary(max_size=200))))
 def test_ingest_csv_raises_only_audit_errors(data):
     only_audit_errors(ingest_csv, io.BytesIO(data), CSV_SCHEME)
+
+
+CLI_SCHEME = "feature.score = continuous:0:10:4\nfeature.age = continuous:18:80:3\n"
+CLI_SWEEP = CLI_SCHEME + "protected = SEX\nsubgroup = Female\neps = 0.2,0.4\nseed = 5\n"
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """A small table and its histograms on a 12-bin grid."""
+    root = tmp_path_factory.mktemp("cli")
+    (root / "scheme.cfg").write_text(CLI_SCHEME)
+    runner = CliRunner()
+    commands = [["synth", "--rows", "400", "--seed", "3", "--out", root / "data.csv"],
+                ["bin", "--data", root / "data.csv", "--config", root / "scheme.cfg",
+                 "--filter", "SEX=Female", "--out", root / "fem.hist"],
+                ["bin", "--data", root / "data.csv", "--config", root / "scheme.cfg",
+                 "--out", root / "all.hist"]]
+    for args in commands:
+        assert runner.invoke(cli, [str(a) for a in args]).exit_code == 0
+    return root
+
+
+def invoke_cli(args):
+    """Runs one command; nothing but SystemExit may escape, and exit 1 comes
+    only with a FALSE verdict line."""
+    result = CliRunner().invoke(cli, [str(a) for a in args])
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        args, result.output, result.exc_info)
+    if result.exit_code == 1:
+        assert args[0] == "query" and result.output.splitlines()[-1].startswith("FALSE,"), (
+            args, result.output)
+    return result
+
+
+# ints at and around the edges of the 128-bit seed range, and non-integers
+seed_texts = st.one_of(
+    st.integers(-2**130, 2**130).map(str),
+    st.sampled_from(["0", "-1", str(2**64), str(2**128 - 1), str(2**128), "1.5", "x", ""]))
+# small counts only: a fuzzed value never asks for many trials or threads
+valid_counts = st.integers(1, 30).map(str)
+count_texts = st.one_of(
+    valid_counts, valid_counts, st.integers(-2, 0).map(str),
+    st.sampled_from(["two", "1.5", "", "0x2", "nan", "1e3", "+3", " 4"]),
+    st.text(alphabet="0123456789-+. ex", max_size=3))
+
+
+@settings(SETTINGS, max_examples=80)
+@given(delta=st.sampled_from(["0", "0.001", "0.05", "1"]),
+       samples=st.one_of(st.none(), st.integers(-2, 14).map(str), st.sampled_from(["x", "1.5"])),
+       seed=st.one_of(st.none(), seed_texts))
+def test_query_invocations_only_exit(cli_files, delta, samples, seed):
+    args = ["query", "--reference", cli_files / "all.hist", "--test", cli_files / "fem.hist",
+            "--delta", delta]
+    args += [] if samples is None else ["--samples", samples]
+    args += [] if seed is None else ["--seed", seed]
+    invoke_cli(args)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(trials=count_texts, threads=st.one_of(st.none(), valid_counts, count_texts),
+       samples=st.sampled_from(["2", "5,12", "3,6", "0", "13", "x"]),
+       seed=st.one_of(st.none(), st.none(), seed_texts))
+def test_sweep_invocations_never_exit_1(cli_files, trials, threads, samples, seed):
+    config = CLI_SWEEP + f"samples = {samples}\ntrials = {trials}\n"
+    config += "" if threads is None else f"threads = {threads}\n"
+    (cli_files / "sweep.cfg").write_text(config)
+    args = ["sweep", "--config", cli_files / "sweep.cfg", "--data", cli_files / "data.csv",
+            "--out", cli_files / "sweep.csv"]
+    args += [] if seed is None else ["--seed", seed]
+    assert invoke_cli(args).exit_code in (0, 2)
 
 
 @st.composite

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from subspace_audit.errors import AlignmentError, BudgetError, ParameterError
 from subspace_audit.histogram import (BinningScheme, FeatureSpec,
                                       ProbabilityHistogram)
-from subspace_audit.query import (ReferenceBand, exact_query,
+from subspace_audit.query import (KeyedSampler, ReferenceBand, exact_query,
                                   sample_flat_indices, subsampled_query,
                                   support_differences, verdict_record,
                                   violation_report)
@@ -208,6 +209,48 @@ class TestSampleFlatIndices:
             hits[sample_flat_indices(10, 3, np.random.default_rng(seed))] += 1
         rates = hits / trials
         assert np.all(np.abs(rates - 0.3) < 0.03)
+
+
+class TestKeyedSampler:
+    # (n, s) pairs on both branches: 2 s > n permutes, otherwise choice
+    SHAPES = [(500, 400), (2**21, 64), (10, 3), (10_000, 6_593), (100_000, 500), (40, 20)]
+
+    def test_reused_sampler_matches_fresh_philox(self):
+        sample = KeyedSampler()
+        for n, s in self.SHAPES:
+            for seed in (0, 5, 2**64 - 1, 2**64, 2**128 - 1):
+                fresh = np.random.Generator(np.random.Philox(key=seed))
+                expected = (fresh.permutation(n)[:s] if 2 * s > n
+                            else fresh.choice(n, s, replace=False))
+                assert np.array_equal(sample(n, s, seed), expected), (n, s, seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_key_range(self, seed):
+        with pytest.raises(ParameterError):
+            KeyedSampler()(10, 3, seed)
+        with pytest.raises(ParameterError):
+            subsampled_query(TEST, ReferenceBand(BASE, 0.05), 2, seed)
+
+    @pytest.mark.parametrize("n, s", [(500, 400), (50_000, 64)])
+    def test_inclusion_frequencies_uniform(self, n, s):
+        """First-order (each bin) and second-order (bins 2k and 2k + 1 together)
+        inclusion counts over keyed draws against their uniform expectations."""
+        trials, groups = 20_000, 25
+        sample = KeyedSampler()
+        draws = np.stack([sample(n, s, seed) for seed in range(trials)])
+        assert all(np.unique(row).size == s for row in draws[:100])
+        p = s / n
+        counts = np.bincount(draws.ravel(), minlength=n)
+        # per-draw covariance of the indicators is p (1 - p) n / (n - 1) (I - 11'/n)
+        first = ((counts - trials * p) ** 2).sum() / (trials * p * (1 - p) * n / (n - 1))
+        assert stats.chi2.sf(first, n - 1) > 1e-3
+        q = s * (s - 1) / (n * (n - 1))
+        keys = np.sort((draws // 2 + np.arange(trials)[:, None] * (n // 2)).ravel())
+        both = keys[1:][keys[1:] == keys[:-1]] % (n // 2)
+        grouped = np.bincount(both, minlength=n // 2).reshape(groups, -1).sum(axis=1)
+        pairs = n // 2 // groups
+        second = ((grouped - trials * pairs * q) ** 2).sum() / (trials * pairs * q * (1 - q))
+        assert stats.chi2.sf(second, groups) > 1e-3
 
 
 class TestSubsampledQuery:

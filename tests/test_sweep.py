@@ -14,7 +14,8 @@ from subspace_audit.sweep import (SweepConfig, WassersteinBaseline,
                                   eps_to_delta, estimate_false_positive_rate,
                                   flat_bin_ids, measure_from_records,
                                   run_supnorm_sweep, run_wasserstein_sweep,
-                                  subgroup_split, trial_seed, violation_mask)
+                                  subgroup_split, trial_seed, trial_seeds,
+                                  violation_mask)
 
 
 def line_scheme(bins):
@@ -113,13 +114,26 @@ class TestEmpiricalRate:
         mask = violation_mask(test, band)
         n = test.scheme.total_bins
         master, cell = 999, (0, 2, 1)
-        for trial in range(50):
-            seed = trial_seed(master, *cell, trial)
+        for seed in trial_seeds(master, cell, 50).tolist():
             via_query = subsampled_query(test, band, 7, seed).inside
-            rng = np.random.default_rng(seed)
+            rng = np.random.Generator(np.random.Philox(key=seed))
             from subspace_audit.query import sample_flat_indices
             via_mask = not bool(mask[sample_flat_indices(n, 7, rng)].any())
             assert via_query == via_mask
+
+    @pytest.mark.parametrize("size", [7, 30])  # choice and permutation branches
+    def test_rate_counts_subsampled_query_misses(self, size):
+        test, band = perturbed_pair(40, 2, 0.002)
+        master, cell, trials = 999, (0, 2, 1), 200
+        rate = estimate_false_positive_rate(test, band, size, trials, master, cell)
+        misses = sum(subsampled_query(test, band, size, seed).inside
+                     for seed in trial_seeds(master, cell, trials).tolist())
+        assert 0 < misses < trials
+        assert rate * trials == misses
+
+    def test_trial_seed_independent_of_trial_count(self):
+        assert np.array_equal(trial_seeds(3, (0, 1, 2), 100)[:10], trial_seeds(3, (0, 1, 2), 10))
+        assert trial_seed(3, 0, 1, 2) == trial_seeds(3, (0, 1, 2), 5)[0]
 
     def test_tracks_hypergeometric_law(self):
         test, band = perturbed_pair(100, 10, 0.001)
