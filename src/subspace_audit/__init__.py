@@ -13,7 +13,7 @@ from .errors import (AlignmentError, AuditError, BudgetError, ConvergenceError,
                      SupportSizeError)
 from .histogram import (BinningScheme, FeatureSpec, JointHistogram,
                         ProbabilityHistogram, RecordFilter, ingest_csv,
-                        normalize, read_histogram, write_histogram)
+                        normalize, read_flat_ids, read_histogram, write_histogram)
 from .pac import (SampleBudget, analytic_false_positive, sample_size,
                   vc_dimension_bound)
 from .query import (QueryOutcome, ReferenceBand, ViolationReport, exact_query,
@@ -28,7 +28,8 @@ __all__ = [
     "AlignmentError", "AuditError", "BudgetError", "ConvergenceError",
     "EmptyInputError", "ParameterError", "SchemaError", "SupportSizeError",
     "BinningScheme", "FeatureSpec", "JointHistogram", "ProbabilityHistogram",
-    "RecordFilter", "ingest_csv", "normalize", "read_histogram", "write_histogram",
+    "RecordFilter", "ingest_csv", "normalize", "read_flat_ids", "read_histogram",
+    "write_histogram",
     "SampleBudget", "analytic_false_positive", "sample_size", "vc_dimension_bound",
     "QueryOutcome", "ReferenceBand", "ViolationReport", "exact_query",
     "subsampled_query", "violation_report",

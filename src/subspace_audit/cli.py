@@ -1,7 +1,8 @@
 """Command-line surface for reproducible audit runs.
 
 Exit codes: 0 success (and "inside" for query), 1 query verdict "outside",
-2 parameter/schema/input problems, 3 incompatible binning schemes.  Every
+2 parameter/schema/input problems, 3 incompatible binning schemes, 4 an
+internal error (any other exception; a bug, never a verdict).  Every
 run that writes files also writes a `<out>.manifest.json` sidecar with the
 seed, config echo, and input fingerprints; a sweep's manifest also records,
 under `run`, what the run derived (band half-widths, the baseline's full-data
@@ -22,29 +23,41 @@ import click
 
 from . import __version__
 from .config import load_config, scheme_from_config, sweep_config_from
-from .datasets import read_csv_records, write_synthetic_csv
+from .datasets import write_synthetic_csv
 from .errors import AlignmentError, AuditError
 from .fileio import atomic_write_text, sha256_file
 from .histogram import (JointHistogram, ProbabilityHistogram, RecordFilter,
-                        ingest_csv, normalize, read_histogram, write_histogram)
+                        ingest_csv, normalize, read_flat_ids, read_histogram,
+                        write_histogram)
 from .pac import SampleBudget, analytic_false_positive
 from .query import (ReferenceBand, subsampled_query, verdict_record,
                     violation_report)
-from .sweep import (measure_from_records, run_supnorm_sweep,
-                    run_wasserstein_sweep, subgroup_split)
+from .sweep import measure_from_flats, run_supnorm_sweep, run_wasserstein_sweep
 from .transport import wasserstein_nd
 
 _EXIT_OUTSIDE = 1
 _EXIT_USAGE = 2
 _EXIT_ALIGNMENT = 3
+_EXIT_INTERNAL = 4
 
 
-def _fail(exc: AuditError) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(_EXIT_ALIGNMENT if isinstance(exc, AlignmentError) else _EXIT_USAGE)
+class _AuditGroup(click.Group):
+    """The one error boundary: no exception a command raises exits 1, "outside"."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except AuditError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(_EXIT_ALIGNMENT if isinstance(exc, AlignmentError) else _EXIT_USAGE)
+        except Exception as exc:
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(_EXIT_INTERNAL)
 
 
-@click.group()
+@click.group(cls=_AuditGroup)
 @click.version_option(__version__)
 def main():
     """Audit subgroup histograms against reference bands on a shared bin grid."""
@@ -94,18 +107,13 @@ def _as_measure(hist: JointHistogram | ProbabilityHistogram) -> ProbabilityHisto
               help="Histogram file to write.")
 def cmd_bin(data, config_path, filter_spec, out):
     """Discretize a CSV into a joint histogram file."""
-    try:
-        cfg = load_config(config_path)
-        scheme = scheme_from_config(cfg)
-        record_filter = _parse_filter(filter_spec)
-        hist = ingest_csv(data, scheme, record_filter)
-        write_histogram(hist, out)
-        _write_manifest(out, "bin",
-                        {"data": os.path.basename(data), "filter": filter_spec,
-                         "features": [f.name for f in scheme.features]},
-                        seed=None, inputs=[data, config_path])
-    except AuditError as exc:
-        _fail(exc)
+    scheme = scheme_from_config(load_config(config_path))
+    hist = ingest_csv(data, scheme, _parse_filter(filter_spec))
+    write_histogram(hist, out)
+    _write_manifest(out, "bin",
+                    {"data": os.path.basename(data), "filter": filter_spec,
+                     "features": [f.name for f in scheme.features]},
+                    seed=None, inputs=[data, config_path])
     click.echo(f"wrote {out}: total={hist.total} skipped={hist.skipped} "
                f"occupied_bins={hist.flats.size}")
 
@@ -127,26 +135,23 @@ def cmd_query(reference, test_path, delta, samples, seed):
     Prints one line: verdict,delta,s,seed,witness,eps_hat,sup_norm.  For
     subsampled runs eps_hat and sup_norm describe the sampled bins only.
     """
-    try:
-        base = _as_measure(read_histogram(reference))
-        test = _as_measure(read_histogram(test_path))
-        band = ReferenceBand(base=base, delta=delta)
-        if delta == 0:
-            click.echo("warning: delta = 0 is degenerate (every bin counts as a violation)",
-                       err=True)
-        if samples is None:
-            report = violation_report(test, band)
-            outcome = report.outcome()
-            line = verdict_record(outcome, delta, report.fraction, report.sup_norm)
-        else:
-            if seed is None:
-                seed = int.from_bytes(os.urandom(8), "big")
-                click.echo(f"generated seed: {seed}", err=True)
-            outcome = subsampled_query(test, band, samples, seed)
-            diffs = outcome.sampled_diffs
-            line = verdict_record(outcome, delta, (diffs >= delta).mean(), diffs.max())
-    except AuditError as exc:
-        _fail(exc)
+    base = _as_measure(read_histogram(reference))
+    test = _as_measure(read_histogram(test_path))
+    band = ReferenceBand(base=base, delta=delta)
+    if delta == 0:
+        click.echo("warning: delta = 0 is degenerate (every bin counts as a violation)",
+                   err=True)
+    if samples is None:
+        report = violation_report(test, band)
+        outcome = report.outcome()
+        line = verdict_record(outcome, delta, report.fraction, report.sup_norm)
+    else:
+        if seed is None:
+            seed = int.from_bytes(os.urandom(8), "big")
+            click.echo(f"generated seed: {seed}", err=True)
+        outcome = subsampled_query(test, band, samples, seed)
+        diffs = outcome.sampled_diffs
+        line = verdict_record(outcome, delta, (diffs >= delta).mean(), diffs.max())
     click.echo(line)
     sys.exit(0 if outcome.inside else _EXIT_OUTSIDE)
 
@@ -163,19 +168,15 @@ def cmd_query(reference, test_path, delta, samples, seed):
               help="Constant in the O(n log n) dimension bound.")
 def cmd_sample_size(eps, delta_prob, n_features, total_bins, union_constant):
     """Print d,s(,analytic_rate,capped?) as a single CSV row."""
-    try:
-        budget = SampleBudget.plan(eps, delta_prob, n_features,
-                                   union_constant=union_constant)
-        fields = [str(budget.vc_dim), str(budget.samples)]
-        if total_bins is not None:
-            violating = min(math.ceil(eps * total_bins), total_bins)
-            effective = min(budget.samples, total_bins)
-            rate = analytic_false_positive(total_bins, violating, effective)
-            fields = [str(budget.vc_dim), str(effective), repr(rate)]
-            if budget.samples > total_bins:
-                fields.append("capped")
-    except AuditError as exc:
-        _fail(exc)
+    budget = SampleBudget.plan(eps, delta_prob, n_features, union_constant=union_constant)
+    fields = [str(budget.vc_dim), str(budget.samples)]
+    if total_bins is not None:
+        violating = min(math.ceil(eps * total_bins), total_bins)
+        effective = min(budget.samples, total_bins)
+        rate = analytic_false_positive(total_bins, violating, effective)
+        fields = [str(budget.vc_dim), str(effective), repr(rate)]
+        if budget.samples > total_bins:
+            fields.append("capped")
     click.echo(",".join(fields))
 
 
@@ -193,36 +194,30 @@ def cmd_sample_size(eps, delta_prob, n_features, total_bins, union_constant):
               help="Overrides the config baseline choice.")
 def cmd_sweep(config_path, data, out, seed, threads, baseline):
     """Run the error-rate sweep and write CSV result(s) plus a manifest."""
-    try:
-        cfg = load_config(config_path)
-        scheme = scheme_from_config(cfg)
-        if seed is None and "seed" not in cfg:
-            seed = int.from_bytes(os.urandom(8), "big")
-            click.echo(f"generated seed: {seed}", err=True)
-        sweep_cfg = sweep_config_from(cfg, scheme, seed=seed, threads=threads,
-                                      baseline=baseline)
-        records = read_csv_records(data)
-        test_rows, reference_rows = subgroup_split(
-            records, sweep_cfg.protected_column, sweep_cfg.subgroup_value)
-        test_measure, _ = measure_from_records(test_rows, scheme)
-        reference_measure, _ = measure_from_records(reference_rows, scheme)
-        result = run_supnorm_sweep(sweep_cfg, test_measure, reference_measure)
-        atomic_write_text(out, result.to_csv())
-        outputs = {"supnorm": os.path.basename(out)}
-        derived = {"supnorm": result.metadata}
-        if sweep_cfg.baseline is not None:
-            baseline_result = run_wasserstein_sweep(sweep_cfg, test_rows, reference_rows)
-            baseline_out = out + ".wasserstein.csv"
-            atomic_write_text(baseline_out, baseline_result.to_csv())
-            outputs["wasserstein"] = os.path.basename(baseline_out)
-            derived["wasserstein"] = baseline_result.metadata
-        _write_manifest(out, "sweep",
-                        {"config_echo": cfg, "overrides": {
-                            "seed": seed, "threads": threads, "baseline": baseline},
-                         "outputs": outputs},
-                        seed=sweep_cfg.seed, inputs=[data, config_path], run=derived)
-    except AuditError as exc:
-        _fail(exc)
+    cfg = load_config(config_path)
+    scheme = scheme_from_config(cfg)
+    if seed is None and "seed" not in cfg:
+        seed = int.from_bytes(os.urandom(8), "big")
+        click.echo(f"generated seed: {seed}", err=True)
+    sweep_cfg = sweep_config_from(cfg, scheme, seed=seed, threads=threads, baseline=baseline)
+    subgroup = RecordFilter(sweep_cfg.protected_column, sweep_cfg.subgroup_value)
+    test, reference = read_flat_ids(data, scheme, subgroup), read_flat_ids(data, scheme)
+    result = run_supnorm_sweep(sweep_cfg, measure_from_flats(test[0], scheme),
+                               measure_from_flats(reference[0], scheme))
+    atomic_write_text(out, result.to_csv())
+    outputs = {"supnorm": os.path.basename(out)}
+    derived = {"supnorm": result.metadata}
+    if sweep_cfg.baseline is not None:
+        baseline_result = run_wasserstein_sweep(sweep_cfg, test, reference)
+        baseline_out = out + ".wasserstein.csv"
+        atomic_write_text(baseline_out, baseline_result.to_csv())
+        outputs["wasserstein"] = os.path.basename(baseline_out)
+        derived["wasserstein"] = baseline_result.metadata
+    _write_manifest(out, "sweep",
+                    {"config_echo": cfg, "overrides": {
+                        "seed": seed, "threads": threads, "baseline": baseline},
+                     "outputs": outputs},
+                    seed=sweep_cfg.seed, inputs=[data, config_path], run=derived)
     click.echo(f"wrote {out} ({len(result.rows)} rows)")
 
 
@@ -238,13 +233,10 @@ def cmd_sweep(config_path, data, out, seed, threads, baseline):
               help="Entropic regularization, relative to the largest ground cost.")
 def cmd_distance(path_a, path_b, p, method, reg):
     """Transport distance between two histograms; prints distance,residual."""
-    try:
-        first = _as_measure(read_histogram(path_a))
-        second = _as_measure(read_histogram(path_b))
-        value, plan = wasserstein_nd(first, second, p, method=method,
-                                     reg_factor=reg, with_plan=True)
-    except AuditError as exc:
-        _fail(exc)
+    first = _as_measure(read_histogram(path_a))
+    second = _as_measure(read_histogram(path_b))
+    value, plan = wasserstein_nd(first, second, p, method=method,
+                                 reg_factor=reg, with_plan=True)
     click.echo(f"{value!r},{plan.marginal_residual!r}")
 
 
@@ -254,10 +246,7 @@ def cmd_distance(path_a, path_b, p, method, reg):
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_synth(rows, seed, out):
     """Write the bundled synthetic two-group CSV (deterministic in rows/seed)."""
-    try:
-        write_synthetic_csv(out, n_rows=rows, seed=seed)
-    except AuditError as exc:
-        _fail(exc)
+    write_synthetic_csv(out, n_rows=rows, seed=seed)
     click.echo(f"wrote {out}: {rows} rows")
 
 

@@ -7,7 +7,8 @@ multiplicatively with each added feature while real tables occupy a small
 fraction of it, so a histogram stores only its occupied bins, as two arrays:
 the sorted, unique row-major flat bin ids (`flats`, int64) and one count or
 mass per id (`values`).  Tuple-keyed views (`counts`, `masses`) are built on
-request.
+request.  `read_flat_ids` is the one CSV reader: `ingest_csv` counts its
+flat bin ids into a histogram, and the sweep turns them into measures.
 
 All histogram types are immutable after construction and safe to share
 between threads.
@@ -299,17 +300,15 @@ class RecordFilter:
 Source = Union[str, os.PathLike, IO[str], IO[bytes]]
 
 
-def ingest_csv(source: Source, scheme: BinningScheme,
-               record_filter: RecordFilter | None = None) -> JointHistogram:
-    """Read an RFC-4180 CSV (UTF-8, header row) into a joint histogram.
-
-    Every surviving record increments exactly one bin.  Records with a
-    missing or unparsable value in any scheme feature are excluded and
-    tallied in the result's `skipped` field.
+def read_flat_ids(source: Source, scheme: BinningScheme,
+                  record_filter: RecordFilter | None = None) -> tuple[np.ndarray, int]:
+    """Flat bin ids (int64) of the kept, binnable records of an RFC-4180 CSV
+    (UTF-8, header row) in file order, and how many kept records were dropped
+    for a missing or unparsable feature value.  Only kept records are binned.
 
     Raises SchemaError when the header lacks a feature (or filter) column or
-    the source is not UTF-8 or not valid CSV, and EmptyInputError when no
-    records survive — a zero-total histogram is never produced.
+    the source is not UTF-8 or not valid CSV, and EmptyInputError when it
+    has no header or no data rows.
     """
     close, stream = _as_text_stream(source)
     try:
@@ -346,14 +345,21 @@ def ingest_csv(source: Source, scheme: BinningScheme,
     if not chunks:
         raise EmptyInputError("CSV source has a header but no data rows")
     flats = np.concatenate(chunks)
-    if flats.size == 0:
+    return flats[flats >= 0], int(np.count_nonzero(flats < 0))
+
+
+def ingest_csv(source: Source, scheme: BinningScheme,
+               record_filter: RecordFilter | None = None) -> JointHistogram:
+    """Count `read_flat_ids` into a joint histogram; dropped records are
+    tallied in `skipped`.  Raises what `read_flat_ids` raises, and
+    EmptyInputError when no record survives (a total is never zero)."""
+    flats, dropped = read_flat_ids(source, scheme, record_filter)
+    if flats.size + dropped == 0:
         raise EmptyInputError("no records matched the filter")
-    binned = flats[flats >= 0]
-    if binned.size == 0:
+    if flats.size == 0:
         raise EmptyInputError("all matching records had missing or unparsable feature values")
-    ids, counts = np.unique(binned, return_counts=True)
-    return JointHistogram.from_flats(scheme, ids, counts, int(binned.size),
-                                     int(flats.size - binned.size))
+    ids, counts = np.unique(flats, return_counts=True)
+    return JointHistogram.from_flats(scheme, ids, counts, int(flats.size), dropped)
 
 
 def _as_text_stream(source: Source) -> tuple[bool, IO[str]]:

@@ -35,6 +35,8 @@ def vc_dimension_bound(n_features: int, union_constant: float = 2.0) -> int:
     if n_features < 1:
         raise ParameterError("n_features must be at least 1")
     raw = union_constant * (n_features + 1) * math.log2(n_features + 2)
+    if not 0 < raw < math.inf:
+        raise ParameterError("union_constant must be positive and give a finite bound")
     return max(math.ceil(raw), n_features + 1)
 
 
@@ -61,6 +63,8 @@ def sample_size(eps: float, delta_prob: float, vc_dim: int, *,
     net_arg = net_constant * vc_dim / eps
     net_term = net_arg * math.log(net_arg) if net_arg > 1.0 else 0.0
     tail_term = (tail_constant / eps) * math.log(tail_log_numerator / delta_prob)
+    if max(net_term, tail_term) == math.inf:
+        raise ParameterError("the sample budget overflows: eps too small or vc_dim too large")
     return max(1, math.ceil(max(net_term, tail_term)))
 
 

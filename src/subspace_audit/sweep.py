@@ -5,9 +5,10 @@ realize the requested violation fractions, replays the subsampled membership
 test many times per (fraction, sample size) cell, and tabulates the empirical
 rate of one-sided errors next to the exact hypergeometric rate.  A
 record-subsampling Wasserstein decision protocol provides the comparison
-baseline curve.  Records become flat bin ids through the scheme's column
-binner, measures are counted from those ids, and each cell's violation mask
-is scattered from the violating ids of `query.violation_report`.
+baseline curve.  Both sweeps count measures from flat bin ids binned once
+(`histogram.read_flat_ids`, or `flat_bin_ids` for in-memory rows), and each
+cell's violation mask is scattered from the violating ids of
+`query.violation_report`.
 
 Every trial seed is derived from the master seed and the trial's cell by
 `SeedSequence` hashing, so trials can run in any order and results are
@@ -29,7 +30,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import methodcaller
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -106,10 +107,10 @@ class WassersteinBaseline:
     trials: int | None = None  # None: reuse the sweep-wide trial count
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ParameterError("baseline p must be at least 1")
-        if not self.threshold_factor > 0:
-            raise ParameterError("threshold_factor must be positive")
+        if not 1 <= self.p < math.inf:
+            raise ParameterError("baseline p must be finite and at least 1")
+        if not 0 < self.threshold_factor < math.inf:
+            raise ParameterError("threshold_factor must be finite and positive")
         if self.method not in ("exact", "entropic"):
             raise ParameterError(f"unknown baseline method {self.method!r}")
         if self.trials is not None and self.trials < 1:
@@ -288,7 +289,7 @@ def run_supnorm_sweep(config: SweepConfig, test: ProbabilityHistogram,
 
 def subgroup_split(records: Iterable[Mapping[str, str]], protected_column: str,
                    subgroup_value: str) -> tuple[list, list]:
-    """(matching records, all records).
+    """(matching records, all records) of in-memory rows.
 
     The subgroup is audited against the whole population, not against its
     complement; pass the complement yourself if that comparison is wanted.
@@ -306,7 +307,7 @@ def subgroup_split(records: Iterable[Mapping[str, str]], protected_column: str,
 
 def flat_bin_ids(records: Iterable[Mapping[str, str]],
                  scheme: BinningScheme) -> tuple[np.ndarray, int]:
-    """Flat joint-bin id per record, and how many records were dropped."""
+    """`histogram.read_flat_ids` for in-memory row dicts."""
     rows = list(records)
     flats = scheme.bin_columns([list(map(methodcaller("get", f.name), rows))
                                 for f in scheme.features])
@@ -328,46 +329,42 @@ def measure_from_records(records: Iterable[Mapping[str, str]],
     return measure_from_flats(flats, scheme), dropped
 
 
-def run_wasserstein_sweep(config: SweepConfig,
-                          test_records: Sequence[Mapping[str, str]],
-                          reference_records: Sequence[Mapping[str, str]]) -> SweepResult:
+def run_wasserstein_sweep(config: SweepConfig, test: tuple[np.ndarray, int],
+                          reference: tuple[np.ndarray, int]) -> SweepResult:
     """Record-subsampled transport decision errors across sample sizes.
 
-    Protocol: the full-data distance between subgroup and reference fixes a
-    threshold (scaled by the baseline's factor); each trial redraws `s`
-    records from the subgroup without replacement, re-bins them, and decides
-    inside iff the subsample's distance stays below the threshold.  An error
-    is any disagreement with the full-data decision.  Per-trial decisions are
+    `test` and `reference` are (flat bin ids, dropped-record count) pairs,
+    as `histogram.read_flat_ids` and `flat_bin_ids` return them.  The
+    full-data distance between them fixes a threshold (scaled by the
+    baseline's factor); each trial redraws `s` subgroup records without
+    replacement and decides inside iff their measure's distance stays below
+    the threshold.  An error is any disagreement with the full-data decision.  Per-trial decisions are
     Bernoulli, so the stderr column doubles as the standard-deviation band.
     The full-data solve and every trial's solve share one pool of
     `config.threads` workers; the result does not depend on that count.
     """
     baseline = config.baseline or WassersteinBaseline()
     scheme = config.scheme
-    test_flats, dropped_test = flat_bin_ids(test_records, scheme)
-    ref_flats, dropped_ref = flat_bin_ids(reference_records, scheme)
-    if test_flats.size == 0 or ref_flats.size == 0:
-        raise EmptyInputError("need binnable records in both groups")
+    (test_flats, dropped_test), (ref_flats, dropped_ref) = test, reference
+    ref_measure = measure_from_flats(ref_flats, scheme)
+    full_test = measure_from_flats(test_flats, scheme)
     group = int(test_flats.size)
     for s in config.sample_sizes:
         if s > group:
             raise BudgetError(f"sample size {s} exceeds the subgroup size {group}")
-
-    reference = measure_from_flats(ref_flats, scheme)
-    full_test = measure_from_flats(test_flats, scheme)
     distance = _distance_fn(scheme, baseline)
     trials = baseline.trials if baseline.trials is not None else config.trials
 
     def subsample_distance(s_idx: int, size: int, trial: int) -> float:
         rng = np.random.default_rng(trial_seed(config.seed, _BASELINE_STREAM, s_idx, trial))
         pick = rng.permutation(group)[:size]
-        return distance(measure_from_flats(test_flats[pick], scheme), reference)
+        return distance(measure_from_flats(test_flats[pick], scheme), ref_measure)
 
     # The solver releases the GIL, so the solves overlap; results are read
     # back in (size, trial) order, which keeps the output schedule-free.
     pool = ThreadPoolExecutor(max_workers=config.threads)
     try:
-        full = pool.submit(distance, full_test, reference)
+        full = pool.submit(distance, full_test, ref_measure)
         solves = [[pool.submit(subsample_distance, s_idx, size, trial) for trial in range(trials)]
                   for s_idx, size in enumerate(config.sample_sizes)]
         w_full = full.result()
@@ -375,6 +372,8 @@ def run_wasserstein_sweep(config: SweepConfig,
     finally:
         pool.shutdown(cancel_futures=True)
     threshold = baseline.threshold_factor * w_full
+    if threshold == math.inf:
+        raise ParameterError("threshold_factor times the full-data distance overflows")
     full_inside = w_full < threshold
 
     rows: list[SweepRow] = []
@@ -401,7 +400,7 @@ def run_wasserstein_sweep(config: SweepConfig,
         "sample_sizes": list(config.sample_sizes),
         "trials": trials,
         "test_fingerprint": _fingerprint(full_test),
-        "reference_fingerprint": _fingerprint(reference),
+        "reference_fingerprint": _fingerprint(ref_measure),
     }
     return SweepResult(rows=tuple(rows), metadata=metadata)
 

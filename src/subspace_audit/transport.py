@@ -290,8 +290,8 @@ def wasserstein_1d(a: ProbabilityHistogram, b: ProbabilityHistogram, p: float = 
     so the integral of |F_a^{-1} - F_b^{-1}|^p reduces to a finite sum.  Exact
     for atomic measures; the histograms may use different one-feature schemes.
     """
-    if p < 1:
-        raise ParameterError("order p must be at least 1")
+    if not 1 <= p < math.inf:
+        raise ParameterError("order p must be finite and at least 1")
     xa, wa = _line_support(a)
     xb, wb = _line_support(b)
     ca = np.cumsum(wa)
@@ -436,8 +436,8 @@ def wasserstein_nd(a: ProbabilityHistogram, b: ProbabilityHistogram, p: float = 
     (distance, TransportPlan) — the plan lives on the two supports, ordered
     by bin index.
     """
-    if p < 1:
-        raise ParameterError("order p must be at least 1")
+    if not 1 <= p < math.inf:
+        raise ParameterError("order p must be finite and at least 1")
     if a.scheme != b.scheme:
         raise AlignmentError("histograms use different binning schemes")
     if method not in ("exact", "entropic"):

@@ -23,7 +23,7 @@ from subspace_audit.pac import (analytic_false_positive, sample_size,
 from subspace_audit.query import (ReferenceBand, exact_query,
                                   subsampled_query, violation_report)
 from subspace_audit.sweep import (SweepConfig, WassersteinBaseline,
-                                  estimate_false_positive_rate,
+                                  estimate_false_positive_rate, flat_bin_ids,
                                   measure_from_records, run_supnorm_sweep,
                                   run_wasserstein_sweep, subgroup_split)
 from subspace_audit.transport import kantorovich_lp, sinkhorn, wasserstein_1d
@@ -306,7 +306,8 @@ def test_criterion_9_sweep_behavior(sweep_data):
             envelope = 3 * row.stderr if row.stderr > 0 else 1e-9
             assert abs(row.empirical_error - row.analytic_error) <= envelope
 
-    baseline = run_wasserstein_sweep(config, test_rows, reference_rows)
+    baseline = run_wasserstein_sweep(config, flat_bin_ids(test_rows, scheme),
+                                     flat_bin_ids(reference_rows, scheme))
     transport_by_size = {row.samples: row.empirical_error for row in baseline.rows}
     for eps, cells in by_eps.items():
         for size in config.sample_sizes:

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from subspace_audit import cli, datasets, sweep
 from subspace_audit.cli import main
 
 SCHEME_CFG = """\
@@ -219,6 +220,53 @@ class TestMalformedInput:
         assert "long.csv is not valid CSV" in result.output
 
 
+class TestErrorBoundary:
+    """One handler maps every exception to an exit code; none reads as 1."""
+
+    def test_unexpected_exception_exits_4(self, workspace, monkeypatch):
+        runner, root = workspace
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "ingest_csv", boom)
+        result = run(runner, ["bin", "--data", root / "data.csv", "--config", root / "scheme.cfg",
+                              "--out", root / "x.hist"])
+        assert result.exit_code == 4, result.output
+        assert "internal error: RuntimeError: boom" in result.output
+
+    def test_click_exits_pass_through(self, workspace):
+        runner, root = workspace
+        assert run(runner, ["bin", "--data", root / "data.csv"]).exit_code == 2  # usage
+        assert run(runner, ["query", "--help"]).exit_code == 0
+        assert run(runner, ["--version"]).exit_code == 0
+
+    @pytest.mark.parametrize("constant", ["nan", "inf", "0", "1e308"])
+    def test_union_constant_without_finite_bound_exit_2(self, constant):
+        # nan and inf ended in a ValueError / OverflowError traceback, exit 1
+        result = run(CliRunner(), ["sample-size", "--eps", "0.05", "--delta", "0.05",
+                                   "--n-features", "2", "--union-constant", constant])
+        assert result.exit_code == 2, result.output
+        assert "union_constant" in result.output
+
+    @pytest.mark.parametrize("p, factor, key", [("nan", "1.25", "baseline p"),
+                                                 ("inf", "1.25", "baseline p"),
+                                                 ("2", "nan", "threshold_factor"),
+                                                 ("2", "inf", "threshold_factor")])
+    def test_non_finite_baseline_parameters_exit_2(self, workspace, p, factor, key):
+        # one feature takes the 1-D route, where p = nan used to exit 0 and
+        # write NaN into the manifest, and threshold_factor = inf Infinity
+        runner, root = workspace
+        cfg = ("feature.score = continuous:0:10:8\nprotected = SEX\nsubgroup = Female\n"
+               "eps = 0.2\nsamples = 5\ntrials = 20\nseed = 1\nbaseline = wasserstein\n"
+               f"baseline_trials = 3\np = {p}\nthreshold_factor = {factor}\n")
+        (root / "nf.cfg").write_text(cfg)
+        result = run(runner, ["sweep", "--config", root / "nf.cfg", "--data", root / "data.csv",
+                              "--out", root / "nf.csv"])
+        assert result.exit_code == 2, result.output
+        assert key in result.output
+
+
 class TestSampleSize:
     def test_example_row(self):
         # d = vc_dimension_bound(1) = 7, s = ceil(112 * ln 112) = 529
@@ -299,6 +347,38 @@ class TestSweep:
         baseline = (root / "wb.csv.wasserstein.csv").read_text().strip().splitlines()
         assert baseline[0] == "eps,delta,s,empirical_error,analytic_error,stderr,trials"
         assert len(baseline) == 1 + 2
+
+    @pytest.mark.parametrize("column", ["age", "SEX"])
+    def test_missing_column_exit_2_names_column(self, workspace, column):
+        runner, root = workspace
+        rows = [line.split(",") for line in (root / "data.csv").read_text().splitlines()]
+        drop = rows[0].index(column)
+        (root / "cut.csv").write_text("\n".join(",".join(r[:drop] + r[drop + 1:]) for r in rows))
+        result = run(runner, ["sweep", "--config", root / "sweep.cfg",
+                              "--data", root / "cut.csv", "--out", root / "o.csv"])
+        assert result.exit_code == 2, result.output
+        assert f"CSV header is missing column(s): {column}" in result.output
+
+    def test_reads_the_table_only_through_read_flat_ids(self, workspace, monkeypatch):
+        runner, root = workspace
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep built row dicts")
+
+        for module, name in ((datasets, "read_csv_records"), (sweep, "flat_bin_ids"),
+                             (sweep, "subgroup_split"), (sweep, "measure_from_records")):
+            monkeypatch.setattr(module, name, forbidden)
+        reads = []
+        read_flat_ids = cli.read_flat_ids
+        monkeypatch.setattr(cli, "read_flat_ids",
+                            lambda *args: reads.append(args) or read_flat_ids(*args))
+        (root / "wb.cfg").write_text(SWEEP_CFG + "baseline = wasserstein\n"
+                                     "threshold_factor = 1.25\nbaseline_trials = 3\n")
+        result = run(runner, ["sweep", "--config", root / "wb.cfg",
+                              "--data", root / "data.csv", "--out", root / "wb.csv"])
+        assert result.exit_code == 0, result.output
+        assert (root / "wb.csv.wasserstein.csv").exists()
+        assert len(reads) == 2
 
     def test_manifest_records_derived_run(self, workspace):
         runner, root = workspace

@@ -35,6 +35,12 @@ class TestVcDimensionBound:
         with pytest.raises(ParameterError):
             vc_dimension_bound(0)
 
+    @pytest.mark.parametrize("constant", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308])
+    def test_rejects_union_constant_without_finite_positive_bound(self, constant):
+        # nan and inf used to escape as ValueError and OverflowError
+        with pytest.raises(ParameterError):
+            vc_dimension_bound(2, union_constant=constant)
+
 
 class TestSampleSize:
     def test_declared_example(self):
@@ -72,6 +78,13 @@ class TestSampleSize:
                 sample_size(bad, 0.1, 3)
             with pytest.raises(ParameterError):
                 sample_size(0.1, bad, 3)
+
+    def test_overflowing_budget_rejected(self):
+        # the net term overflows to inf, whose ceil raised OverflowError
+        with pytest.raises(ParameterError):
+            sample_size(5e-324, 0.05, 7)
+        with pytest.raises(ParameterError):
+            sample_size(0.05, 0.05, 10**307)
 
     def test_constants_are_configurable(self):
         default = sample_size(0.1, 0.1, 5)

@@ -1,9 +1,11 @@
 """Property tests: the histogram file format round-trips, malformed
-histogram files, config text and CSV bytes only ever raise AuditError,
-whole `query` and `sweep` invocations with fuzzed seeds, budgets and config
+histogram files, config text and CSV bytes only ever raise AuditError, the
+CSV reader agrees with binning `csv.DictReader` rows, whole `query`,
+`sweep` and `sample-size` invocations with fuzzed seeds, budgets and config
 values only ever exit, and with 1 only on an "outside" verdict, and the
 p = 2 grid flow agrees with the dense transportation LP."""
 
+import csv
 import io
 import json
 import math
@@ -18,11 +20,13 @@ from hypothesis import strategies as st
 from subspace_audit import transport
 from subspace_audit.cli import main as cli
 from subspace_audit.config import parse_config
-from subspace_audit.errors import AuditError, ConvergenceError
+from subspace_audit.errors import AuditError, ConvergenceError, EmptyInputError
 from subspace_audit.histogram import (BinningScheme, FeatureSpec,
                                       JointHistogram, ProbabilityHistogram,
-                                      format_histogram, ingest_csv,
-                                      parse_histogram)
+                                      RecordFilter, format_histogram,
+                                      ingest_csv, parse_histogram,
+                                      read_flat_ids)
+from subspace_audit.sweep import flat_bin_ids
 from subspace_audit.transport import kantorovich_lp, wasserstein_nd
 
 # Deterministic example sequences keep the suite reproducible.
@@ -161,6 +165,44 @@ def test_ingest_csv_raises_only_audit_errors(data):
     only_audit_errors(ingest_csv, io.BytesIO(data), CSV_SCHEME)
 
 
+cells = st.sampled_from(["", "1.5", "9", "-3", "1e400", "nan", " 4 ", "x", "F", "M", " F",
+                         "a", "b"])
+
+
+@st.composite
+def messy_tables(draw):
+    """CSV text on CSV_SCHEME's columns plus a group column `g`, any of them
+    possibly listed twice, with blank lines, short and long rows and
+    unparsable values; and a filter on `g`, or none."""
+    header = ["score", "sex", "g"] + draw(st.lists(st.sampled_from(["score", "sex", "g", "z"]),
+                                                    max_size=2))
+    header = draw(st.permutations(header))
+    rows = draw(st.lists(st.lists(cells, max_size=len(header) + 2), max_size=12))
+    text = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
+    record_filter = draw(st.one_of(st.none(), st.builds(
+        RecordFilter, st.just("g"), st.sampled_from(["a", "b", "", "c"]), st.booleans())))
+    return text, record_filter
+
+
+@SETTINGS
+@given(messy_tables())
+def test_read_flat_ids_matches_binning_dict_rows(case):
+    text, record_filter = case
+    rows = list(csv.DictReader(io.StringIO(text, newline="")))
+    if not rows:
+        with pytest.raises(EmptyInputError):
+            read_flat_ids(io.StringIO(text, newline=""), CSV_SCHEME, record_filter)
+        return
+    if record_filter is not None:
+        rows = [row for row, keep in zip(rows, record_filter.mask([r.get("g") for r in rows]))
+                if keep]
+    flats, dropped = read_flat_ids(io.StringIO(text, newline=""), CSV_SCHEME, record_filter)
+    expected, expected_dropped = flat_bin_ids(rows, CSV_SCHEME)
+    assert flats.dtype == np.int64
+    assert flats.tolist() == expected.tolist()
+    assert dropped == expected_dropped
+
+
 CLI_SCHEME = "feature.score = continuous:0:10:4\nfeature.age = continuous:18:80:3\n"
 CLI_SWEEP = CLI_SCHEME + "protected = SEX\nsubgroup = Female\neps = 0.2,0.4\nseed = 5\n"
 
@@ -182,11 +224,12 @@ def cli_files(tmp_path_factory):
 
 
 def invoke_cli(args):
-    """Runs one command; nothing but SystemExit may escape, and exit 1 comes
-    only with a FALSE verdict line."""
+    """Runs one command; nothing but SystemExit may escape, the exit is never
+    4 (an internal error), and exit 1 comes only with a FALSE verdict line."""
     result = CliRunner().invoke(cli, [str(a) for a in args])
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         args, result.output, result.exc_info)
+    assert result.exit_code != 4, (args, result.output)
     if result.exit_code == 1:
         assert args[0] == "query" and result.output.splitlines()[-1].startswith("FALSE,"), (
             args, result.output)
@@ -229,6 +272,46 @@ def test_sweep_invocations_never_exit_1(cli_files, trials, threads, samples, see
             "--out", cli_files / "sweep.csv"]
     args += [] if seed is None else ["--seed", seed]
     assert invoke_cli(args).exit_code in (0, 2)
+
+
+def finite_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+# reals as config text: ordinary, tiny, huge, non-finite and malformed values
+real_texts = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["1", "2", "3", "1.25", "0.5", "0", "-1", "1e-300", "1e308", "nan", "inf",
+                     "-inf", "NaN", "x", "", "1e400"]))
+
+
+@settings(SETTINGS, max_examples=40)
+@given(p=st.one_of(st.sampled_from(["1", "2", "3"]), st.floats(1, 6).map(repr), real_texts),
+       factor=st.one_of(st.sampled_from(["1.25", "0.5", "4", "1e308"]),
+                        st.floats(1e-3, 10).map(repr), real_texts),
+       method=st.sampled_from(["exact", "exact", "entropic"]))
+def test_baseline_sweep_invocations_never_exit_1(cli_files, p, factor, method):
+    config = CLI_SWEEP + (f"samples = 2,5\ntrials = 3\nbaseline = wasserstein\n"
+                          f"baseline_trials = 2\np = {p}\nthreshold_factor = {factor}\n"
+                          f"method = {method}\n")
+    (cli_files / "baseline.cfg").write_text(config)
+    out = cli_files / "baseline.csv"
+    result = invoke_cli(["sweep", "--config", cli_files / "baseline.cfg",
+                         "--data", cli_files / "data.csv", "--out", out])
+    assert result.exit_code in (0, 2)
+    if result.exit_code == 0:
+        run = finite_json((cli_files / "baseline.csv.manifest.json").read_text())["run"]
+        assert math.isfinite(run["wasserstein"]["full_distance"])
+
+
+@settings(SETTINGS, max_examples=60)
+@given(constant=real_texts, n_features=st.integers(1, 6))
+def test_sample_size_union_constant_never_exits_1(constant, n_features):
+    result = invoke_cli(["sample-size", "--eps", "0.05", "--delta", "0.05",
+                         "--n-features", n_features, "--union-constant", constant])
+    assert result.exit_code in (0, 2)
 
 
 @st.composite

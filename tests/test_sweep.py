@@ -179,6 +179,18 @@ class TestSweepConfig:
             small_config(eps_grid=(1.5,))
 
 
+class TestWassersteinBaseline:
+    @pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
+    def test_rejects_p_outside_finite_range(self, p):
+        with pytest.raises(ParameterError, match="baseline p"):
+            WassersteinBaseline(p=p, threshold_factor=1.25)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_threshold_factor_not_finite_positive(self, factor):
+        with pytest.raises(ParameterError, match="threshold_factor"):
+            WassersteinBaseline(threshold_factor=factor)
+
+
 class TestRunSupnormSweep:
     def setup_method(self):
         rng = np.random.default_rng(8)
@@ -325,7 +337,8 @@ class TestRunWassersteinSweep:
         group_size = flat_bin_ids(self.test_rows, self.scheme)[0].size
         cfg = self.config(sample_sizes=(group_size,),
                           baseline=WassersteinBaseline(threshold_factor=1.25, trials=40))
-        result = run_wasserstein_sweep(cfg, self.test_rows, self.ref_rows)
+        result = run_wasserstein_sweep(cfg, flat_bin_ids(self.test_rows, self.scheme),
+                                       flat_bin_ids(self.ref_rows, self.scheme))
         assert result.rows[0].empirical_error == 0.0
 
     def test_statistically_identical_groups_error_decays(self):
@@ -339,7 +352,8 @@ class TestRunWassersteinSweep:
         test_rows, ref_rows = subgroup_split(rows, "SEX", "Female")
         cfg = self.config(sample_sizes=(20, 200, 1500), trials=150,
                           baseline=WassersteinBaseline(threshold_factor=1.5, trials=150))
-        result = run_wasserstein_sweep(cfg, test_rows, ref_rows)
+        result = run_wasserstein_sweep(cfg, flat_bin_ids(test_rows, self.scheme),
+                                       flat_bin_ids(ref_rows, self.scheme))
         assert result.metadata["full_inside"] is True
         errors = [row.empirical_error for row in result.rows]
         assert errors[-1] <= errors[0]
@@ -347,8 +361,10 @@ class TestRunWassersteinSweep:
 
     def test_reproducible(self):
         cfg = self.config(baseline=WassersteinBaseline(threshold_factor=1.25, trials=30))
-        a = run_wasserstein_sweep(cfg, self.test_rows, self.ref_rows)
-        b = run_wasserstein_sweep(cfg, self.test_rows, self.ref_rows)
+        a = run_wasserstein_sweep(cfg, flat_bin_ids(self.test_rows, self.scheme),
+                                  flat_bin_ids(self.ref_rows, self.scheme))
+        b = run_wasserstein_sweep(cfg, flat_bin_ids(self.test_rows, self.scheme),
+                                  flat_bin_ids(self.ref_rows, self.scheme))
         assert a.rows == b.rows
 
     def test_thread_count_changes_nothing(self):
@@ -363,14 +379,16 @@ class TestRunWassersteinSweep:
         results = [run_wasserstein_sweep(
             self.config(scheme=scheme, sample_sizes=(20, 80), threads=threads,
                         baseline=WassersteinBaseline(threshold_factor=1.25, trials=12)),
-            test_rows, ref_rows) for threads in (1, 2, 4)]
+            flat_bin_ids(test_rows, scheme), flat_bin_ids(ref_rows, scheme))
+            for threads in (1, 2, 4)]
         assert len({r.to_csv() for r in results}) == 1
         assert results[0].metadata == results[1].metadata == results[2].metadata
 
     def test_oversized_sample_rejected(self):
         cfg = self.config(sample_sizes=(10**6,))
         with pytest.raises(BudgetError):
-            run_wasserstein_sweep(cfg, self.test_rows, self.ref_rows)
+            run_wasserstein_sweep(cfg, flat_bin_ids(self.test_rows, self.scheme),
+                                  flat_bin_ids(self.ref_rows, self.scheme))
 
 
 class TestMeasureFromRecords:

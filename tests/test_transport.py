@@ -68,6 +68,17 @@ class TestWasserstein1d:
         with pytest.raises(ParameterError):
             wasserstein_1d(m, m, 0.5)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_p_rejected(self, p):
+        # p = nan returned nan, and p = inf returned 1.0 here, where W1 is 5
+        a = line_measure(line_scheme(8), [0.5, 0.5, 0, 0, 0, 0, 0, 0])
+        b = line_measure(line_scheme(8), [0, 0, 0, 0, 0.5, 0, 0, 0.5])
+        assert wasserstein_1d(a, b, 1.0) == pytest.approx(5.0)
+        with pytest.raises(ParameterError):
+            wasserstein_1d(a, b, p)
+        with pytest.raises(ParameterError):
+            wasserstein_nd(a, b, p)
+
     def test_matches_lp_on_random_instances(self):
         rng = np.random.default_rng(41)
         for _ in range(200):

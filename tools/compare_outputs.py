@@ -6,9 +6,11 @@
 SRC is a `src/` directory holding the `subspace_audit` package, INPUTS a
 directory of input files (created and filled on the first run, reused
 afterwards) and OUT the directory that receives every output.  OUT gets
-each histogram file, sweep CSV and generated table, plus `log.txt` with the
-stdout and exit code of every command; manifests are deleted because they
-carry a timestamp.  Two source trees produce the same results when
+each histogram file, sweep CSV, generated table and manifest, plus
+`log.txt` with the stdout and exit code of every command; each manifest
+loses only its `timestamp`, so a sweep's `run` block (deltas, dropped
+counts, fingerprints, the baseline's full-data distance) is compared too.
+Two source trees produce the same results when
 
     python tools/compare_outputs.py OLD/src inputs out-old
     python tools/compare_outputs.py src inputs out-new
@@ -16,12 +18,17 @@ carry a timestamp.  Two source trees produce the same results when
 
 prints nothing.  The inputs are the criterion-10 fixture of the acceptance
 tests (`synth --rows 4000 --seed 33`, its scheme and its sweep config with
-the transport baseline) and those of the three benchmark workloads at seed 1.
+the transport baseline), those of the three benchmark workloads at seed 1,
+and a messy table (blank lines, short and long rows, unparsable values, a
+duplicated header column) that `bin` reads with and without a filter and
+`sweep` reads with the baseline, also for a subgroup no row has.
 The commands are `synth`, `bin`, exact and subsampled `query`,
 `sample-size`, `distance --method exact` and `sweep`.
 """
 
+import json
 import os
+import random
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -138,10 +145,52 @@ def main(src: str, inputs_dir: str, out: str) -> None:
     run("sweep", "--config", I("transport.cfg"), "--data", O("synth.csv"),
         "--out", O("transport.csv"), "--threads", "2")
 
+    # messy table: the CSV reader's edge cases, through bin and sweep
+    if fresh:
+        rng = random.Random(SEED)
+        lines = ["SEX,score,age,score"]  # the last duplicate column wins
+        for i in range(300):
+            sex = rng.choice(["Female", "Male", "Male", "", "female"])
+            score, last = (f"{rng.uniform(-1, 11):.3f}" for _ in range(2))
+            age = f"{18 + 62 * rng.random():.2f}"
+            kind = i % 9
+            if kind == 0:
+                lines.append("")  # blank line
+            elif kind == 1:
+                lines.append(f"{sex},{score}")  # short row: the last score and age missing
+            elif kind == 2:
+                lines.append(f"{sex},{score},{age},{last},extra,fields")  # long row
+            elif kind == 3:
+                lines.append(f"{sex},{score},{rng.choice(['x', '', 'nan', ' 40 '])},{last}")
+            elif kind == 4:
+                lines.append(f"{sex},{score},{age},{rng.choice(['', 'y', '1e400', '-inf'])}")
+            else:
+                lines.append(f"{sex},{score},{age},{last}")
+        write("messy.csv", "\n".join(lines) + "\n\n")
+        messy_sweep = (scheme + "protected = SEX\nsubgroup = Female\neps = 0.2\nsamples = 2,6\n"
+                       "trials = 50\nseed = 9\nbaseline = wasserstein\nthreshold_factor = 1.25\n"
+                       "baseline_trials = 4\n")
+        write("messy-sweep.cfg", messy_sweep)
+        write("messy-nobody.cfg", messy_sweep.replace("Female", "Nobody"))
+        write("messy-nosex.cfg", messy_sweep.replace("protected = SEX", "protected = RACE"))
+    for flt, name in (("SEX=Female", "messy-fem.hist"), (None, "messy-all.hist"),
+                      ("SEX!=Male", "messy-notmale.hist"), ("SEX=Nobody", "messy-nobody.hist")):
+        run("bin", "--data", I("messy.csv"), "--config", I("c10-scheme.cfg"), "--out", O(name),
+            *(["--filter", flt] if flt else []))
+    for cfg in ("messy-sweep", "messy-nobody", "messy-nosex"):
+        run("sweep", "--config", I(cfg + ".cfg"), "--data", I("messy.csv"),
+            "--out", O(cfg + ".csv"), "--threads", "2")
+
     log.close()
     for name in os.listdir(out):
         if name.endswith(".manifest.json"):
-            os.unlink(os.path.join(out, name))
+            path = os.path.join(out, name)
+            with open(path, encoding="utf-8") as fh:
+                manifest = json.load(fh)
+            del manifest["timestamp"]
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
 
 
 if __name__ == "__main__":
