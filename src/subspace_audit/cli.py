@@ -206,7 +206,8 @@ def cmd_sweep(config_path, data, out, seed, threads, baseline):
                                measure_from_flats(reference[0], scheme))
     atomic_write_text(out, result.to_csv())
     outputs = {"supnorm": os.path.basename(out)}
-    derived = {"supnorm": result.metadata}
+    derived = {"supnorm": {**result.metadata, "dropped_test": test[1],
+                           "dropped_reference": reference[1]}}
     if sweep_cfg.baseline is not None:
         baseline_result = run_wasserstein_sweep(sweep_cfg, test, reference)
         baseline_out = out + ".wasserstein.csv"

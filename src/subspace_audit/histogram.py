@@ -10,6 +10,16 @@ mass per id (`values`).  Tuple-keyed views (`counts`, `masses`) are built on
 request.  `read_flat_ids` is the one CSV reader: `ingest_csv` counts its
 flat bin ids into a histogram, and the sweep turns them into measures.
 
+The reader takes the table in blocks of about `_BLOCK_BYTES` characters,
+each cut at a line end, so its memory stays flat in the table size.  A
+plain block (ASCII; no quote, carriage return or NUL; no field over
+`csv.field_size_limit()`) is split at its commas and newlines in numpy,
+and each column it bins is copied out at most once, into an array no larger
+than the block.
+From the first block that is not plain on, the rest of the table goes
+through `csv.reader`, the only path for quoted, CRLF and non-ASCII tables.
+Both paths give identical ids, dropped counts and error messages.
+
 All histogram types are immutable after construction and safe to share
 between threads.
 """
@@ -22,8 +32,8 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass
-from itertools import compress, islice, repeat, zip_longest
+from dataclasses import dataclass, replace
+from itertools import chain, compress, islice, repeat, zip_longest
 from typing import IO, Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -34,7 +44,10 @@ from .fileio import atomic_write_text, read_text
 Index = tuple[int, ...]
 
 _FORMAT_HEADER = "# subspace-audit histogram v1"
-# CSV rows binned per batch: ingest memory stays flat in the table size.
+# Characters read per CSV block (plus the rest of its last line): ingest
+# memory stays flat in the table size.
+_BLOCK_BYTES = 1 << 20
+# CSV rows binned per batch on the csv.reader fallback.
 _CHUNK_ROWS = 1 << 10
 
 
@@ -95,7 +108,10 @@ class FeatureSpec:
             lookup = {c: i for i, c in enumerate(self.categories) if c}
             codes = {raw: lookup.get(raw.strip(), -1) if raw else -1 for raw in set(raws)}
             return np.fromiter(map(codes.__getitem__, raws), np.int64, len(raws))
-        values = np.fromiter(map(_float_or_nan, raws), float, len(raws))
+        return self.bin_values(np.fromiter(map(_float_or_nan, raws), float, len(raws)))
+
+    def bin_values(self, values: np.ndarray) -> np.ndarray:
+        """Continuous bin index (int64) per float value; -1 where it is NaN."""
         with np.errstate(invalid="ignore", over="ignore"):
             idx = np.floor(self.bins * (values - self.lower) / (self.upper - self.lower))
         idx = np.clip(idx, 0, self.bins - 1)
@@ -178,10 +194,14 @@ class BinningScheme:
 
         A record with a missing or unparsable value in any feature gets -1.
         """
-        flats = np.zeros(len(columns[0]), dtype=np.int64)
-        for feature, column in zip(self.features, columns):
-            ids = feature.bin_column(column)
-            flats = np.where((flats < 0) | (ids < 0), -1, flats * feature.bin_count + ids)
+        return self.join_ids([f.bin_column(c) for f, c in zip(self.features, columns)])
+
+    def join_ids(self, ids: Sequence[np.ndarray]) -> np.ndarray:
+        """Flat joint-bin id per record from one bin-index array per feature;
+        -1 where any of them is -1."""
+        flats = np.zeros(len(ids[0]), dtype=np.int64)
+        for feature, column in zip(self.features, ids):
+            flats = np.where((flats < 0) | (column < 0), -1, flats * feature.bin_count + column)
         return flats
 
 
@@ -323,16 +343,16 @@ def read_flat_ids(source: Source, scheme: BinningScheme,
         missing = [c for c in required if c not in position]
         if missing:
             raise SchemaError(f"CSV header is missing column(s): {', '.join(missing)}")
-        records = filter(None, reader)  # blank lines are not records
+        picks = [position[name] for name in required]
         chunks = []
-        for chunk in iter(lambda: list(islice(records, _CHUNK_ROWS)), []):
-            columns = list(zip_longest(*chunk))  # short rows pad with None
-            columns += [(None,) * len(chunk)] * (len(header) - len(columns))
-            picked = [columns[position[f.name]] for f in scheme.features]
-            if record_filter is not None:  # bin only the kept records
-                keep = record_filter.mask(columns[position[record_filter.column]])
-                picked = [list(compress(column, keep)) for column in picked]
-            chunks.append(scheme.bin_columns(picked))
+        for block in iter(lambda: _read_block(stream), ""):
+            fields = _PlainFields.split(block)
+            if fields is None:  # quoted, CRLF, non-ASCII or over-long: csv.reader
+                rows = csv.reader(chain(io.StringIO(block, newline=""), stream))
+                chunks += _bin_rows(rows, len(header), picks, scheme, record_filter)
+                break
+            if fields.counts.size:
+                chunks.append(fields.bin(picks, scheme, record_filter))
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{getattr(source, 'name', source)} is not UTF-8 text: {exc}") from exc
     except csv.Error as exc:
@@ -346,6 +366,148 @@ def read_flat_ids(source: Source, scheme: BinningScheme,
         raise EmptyInputError("CSV source has a header but no data rows")
     flats = np.concatenate(chunks)
     return flats[flats >= 0], int(np.count_nonzero(flats < 0))
+
+
+def _read_block(stream: IO[str]) -> str:
+    """About `_BLOCK_BYTES` characters of a text stream, up to a line end.
+
+    Read 2 048 characters at a time: a TextIOWrapper then always decodes the
+    same 8 KiB chunks (at most 4 bytes per character) that line iteration
+    decodes, so a UnicodeDecodeError gives the same position as under
+    `csv.reader`.
+    """
+    pieces, size = [], 0
+    while size < _BLOCK_BYTES:
+        piece = stream.read(min(_BLOCK_BYTES - size, 2048))
+        if not piece:
+            break
+        pieces.append(piece)
+        size += len(piece)
+    pieces.append(stream.readline())
+    return "".join(pieces)
+
+
+def _bin_rows(rows: Iterable[list[str]], width: int, picks: list[int], scheme: BinningScheme,
+              record_filter: RecordFilter | None) -> list[np.ndarray]:
+    """Flat ids (-1 where unbinnable) of the kept records among csv.reader
+    rows, in batches of `_CHUNK_ROWS`; `picks` are the feature columns, then
+    the filter column."""
+    records = filter(None, rows)  # blank lines are not records
+    chunks = []
+    for chunk in iter(lambda: list(islice(records, _CHUNK_ROWS)), []):
+        columns = list(zip_longest(*chunk))  # short rows pad with None
+        columns += [(None,) * len(chunk)] * (width - len(columns))
+        picked = [columns[i] for i in picks[:scheme.n_features]]
+        if record_filter is not None:  # bin only the kept records
+            keep = record_filter.mask(columns[picks[-1]])
+            picked = [list(compress(column, keep)) for column in picked]
+        chunks.append(scheme.bin_columns(picked))
+    return chunks
+
+
+@dataclass
+class _PlainFields:
+    """Field offsets of a plain CSV block: ASCII, no quote, CR or NUL, and no
+    field longer than `csv.field_size_limit()`, so every comma and newline
+    separates fields exactly as `csv.reader` would split them.
+
+    `data` holds the block's bytes with zero padding past its end; field j
+    of the block is `data[starts[j]:starts[j] + lengths[j]]`, and record r
+    (blank lines left out) owns fields `firsts[r]` to `firsts[r] + counts[r] - 1`.
+    """
+
+    data: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    firsts: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def split(cls, block: str) -> "_PlainFields | None":
+        """Fields of a block that ends at a line end or at the end of the
+        table, or None when the block is not plain."""
+        if not block.isascii() or any(c in block for c in '"\r\0'):
+            return None
+        raw = np.frombuffer((block if block.endswith("\n") else block + "\n").encode("ascii"),
+                            np.uint8)
+        ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        lengths = ends - starts
+        longest = int(lengths.max())
+        if longest > csv.field_size_limit():
+            return None
+        data = np.zeros(raw.size + longest, np.uint8)
+        data[:raw.size] = raw
+        lasts = np.flatnonzero(raw[ends] == ord("\n"))  # each line's last field
+        firsts = np.concatenate(([0], lasts[:-1] + 1))
+        counts = lasts - firsts + 1
+        records = (counts > 1) | (lengths[firsts] > 0)  # blank lines are not records
+        return cls(data, starts, lengths, firsts[records], counts[records])
+
+    def column(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """Start and length of field c of each record; length -1 where the
+        record is too short to have it."""
+        present = c < self.counts
+        at = np.where(present, self.firsts + c, 0)
+        return self.starts[at], np.where(present, self.lengths[at], -1)
+
+    def matches(self, c: int, value: str) -> np.ndarray:
+        """Per record, whether field c is present and equals `value`."""
+        starts, lengths = self.column(c)
+        target = np.frombuffer(value.encode("utf-8"), np.uint8)
+        equal = lengths == target.size
+        if target.size:
+            at = np.flatnonzero(equal)
+            window = self.data[starts[at, None] + np.arange(target.size)]
+            equal[at] = (window == target).all(axis=1)
+        return equal
+
+    def strings(self, c: int) -> np.ndarray | None:
+        """Field c of each record as a fixed-width bytes array; b"" where
+        the field is empty or missing.  None when that array would be larger
+        than the block, as when one field is far longer than the rest."""
+        starts, lengths = self.column(c)
+        width = max(1, int(lengths.max(initial=0)))
+        if width * starts.size > self.data.size:
+            return None
+        rows = np.lib.stride_tricks.sliding_window_view(self.data, width)[starts]
+        rows[np.arange(width) >= lengths[:, None]] = 0  # bytes past the field
+        return rows.view(f"S{width}")[:, 0]
+
+    def texts(self, c: int) -> list[str | None]:
+        """Field c of each record as a str; None where it is missing."""
+        starts, lengths = self.column(c)
+        data = self.data.tobytes()
+        return [data[s:s + n].decode("ascii") if n >= 0 else None
+                for s, n in zip(starts.tolist(), lengths.tolist())]
+
+    def bin(self, picks: list[int], scheme: BinningScheme,
+            record_filter: RecordFilter | None) -> np.ndarray:
+        """Flat ids (-1 where unbinnable) of the records the filter keeps;
+        `picks` are the feature columns, then the filter column."""
+        fields = self
+        if record_filter is not None:  # bin only the kept records
+            keep = self.matches(picks[-1], record_filter.value) != record_filter.negate
+            fields = replace(self, firsts=self.firsts[keep], counts=self.counts[keep])
+        ids = []
+        for feature, c in zip(scheme.features, picks):
+            raws = fields.strings(c)
+            if raws is None:  # a fixed-width copy would outgrow the block
+                ids.append(feature.bin_column(fields.texts(c)))
+                continue
+            if feature.kind == "categorical":
+                unique, inverse = np.unique(raws, return_inverse=True)
+                ids.append(feature.bin_column(unique.astype(str).tolist())[inverse])
+                continue
+            values = np.full(raws.size, math.nan)
+            filled = raws != b""
+            try:
+                values[filled] = raws[filled].astype(np.float64)
+            except ValueError:  # a value float() rejects: parse it field by field
+                values = np.fromiter(map(_float_or_nan, raws.astype(str).tolist()), float,
+                                     raws.size)
+            ids.append(feature.bin_values(values))
+        return scheme.join_ids(ids)
 
 
 def ingest_csv(source: Source, scheme: BinningScheme,

@@ -34,7 +34,13 @@ def vc_dimension_bound(n_features: int, union_constant: float = 2.0) -> int:
     """
     if n_features < 1:
         raise ParameterError("n_features must be at least 1")
-    raw = union_constant * (n_features + 1) * math.log2(n_features + 2)
+    try:
+        scale = (n_features + 1) * math.log2(n_features + 2)
+    except OverflowError:  # an int beyond the float range
+        scale = math.inf
+    if scale == math.inf:
+        raise ParameterError("n_features is too large for a finite bound")
+    raw = union_constant * scale
     if not 0 < raw < math.inf:
         raise ParameterError("union_constant must be positive and give a finite bound")
     return max(math.ceil(raw), n_features + 1)

@@ -169,8 +169,8 @@ def sinkhorn(a, b, cost, reg: float, max_iter: int = 50_000, tol: float = 1e-9) 
     a = _as_marginal(a, "first marginal")
     b = _as_marginal(b, "second marginal")
     c = _as_cost(cost, a.size, b.size)
-    if not reg > 0:
-        raise ParameterError("regularization must be positive")
+    if not 0 < reg < math.inf:
+        raise ParameterError("regularization must be finite and positive")
     if max_iter < 1:
         raise ParameterError("max_iter must be at least 1")
 

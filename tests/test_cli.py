@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from subspace_audit import cli, datasets, sweep
 from subspace_audit.cli import main
+from subspace_audit.histogram import read_histogram
 
 SCHEME_CFG = """\
 feature.score = continuous:0:10:8
@@ -402,6 +403,23 @@ class TestSweep:
         assert printed.exit_code == 0, printed.output
         distance = float(printed.output.split(",")[0])
         assert baseline["full_distance"] == pytest.approx(distance, rel=1e-12)
+
+    def test_manifest_dropped_counts_match_bin_skipped(self, workspace):
+        runner, root = workspace
+        lines = (root / "data.csv").read_text().splitlines()
+        for i in range(1, len(lines), 7):  # blank the score of every 7th record
+            sex, _, age = lines[i].split(",")
+            lines[i] = f"{sex},,{age}"
+        (root / "gaps.csv").write_text("\n".join(lines) + "\n")
+        result = run(runner, ["sweep", "--config", root / "sweep.cfg",
+                              "--data", root / "gaps.csv", "--out", root / "gaps-sweep.csv"])
+        assert result.exit_code == 0, result.output
+        supnorm = json.loads((root / "gaps-sweep.csv.manifest.json").read_text())["run"]["supnorm"]
+        for flt, key in (("SEX=Female", "dropped_test"), (None, "dropped_reference")):
+            args = ["bin", "--data", root / "gaps.csv", "--config", root / "scheme.cfg",
+                    "--out", root / "gaps.hist"]
+            assert run(runner, args + (["--filter", flt] if flt else [])).exit_code == 0
+            assert supnorm[key] == read_histogram(root / "gaps.hist").skipped > 0
 
 
 class TestDistance:

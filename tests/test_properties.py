@@ -1,14 +1,16 @@
 """Property tests: the histogram file format round-trips, malformed
 histogram files, config text and CSV bytes only ever raise AuditError, the
-CSV reader agrees with binning `csv.DictReader` rows, whole `query`,
-`sweep` and `sample-size` invocations with fuzzed seeds, budgets and config
-values only ever exit, and with 1 only on an "outside" verdict, and the
-p = 2 grid flow agrees with the dense transportation LP."""
+CSV reader agrees with binning `csv.DictReader` rows on both its paths,
+whole `query`, `sweep`, `sample-size` and `distance` invocations with fuzzed
+seeds, budgets and parameters only ever exit, and with 1 only on an
+"outside" verdict, and the p = 2 grid flow agrees with the dense
+transportation LP."""
 
 import csv
 import io
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,10 +19,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subspace_audit import transport
+from subspace_audit import histogram, transport
 from subspace_audit.cli import main as cli
 from subspace_audit.config import parse_config
-from subspace_audit.errors import AuditError, ConvergenceError, EmptyInputError
+from subspace_audit.errors import (AuditError, ConvergenceError, EmptyInputError,
+                                   SchemaError)
 from subspace_audit.histogram import (BinningScheme, FeatureSpec,
                                       JointHistogram, ProbabilityHistogram,
                                       RecordFilter, format_histogram,
@@ -165,29 +168,35 @@ def test_ingest_csv_raises_only_audit_errors(data):
     only_audit_errors(ingest_csv, io.BytesIO(data), CSV_SCHEME)
 
 
-cells = st.sampled_from(["", "1.5", "9", "-3", "1e400", "nan", " 4 ", "x", "F", "M", " F",
-                         "a", "b"])
+plain_cells = ["", "1.5", "9", "-3", "1e400", "nan", " 4 ", "x", "F", "M", " F", "a", "b",
+               "1_0"]
+# quoted, non-ASCII and CRLF-ended rows are read by csv.reader, the rest in numpy
+quirky_cells = plain_cells + ['"1,5"', '"a""b"', "é", "١٢"]
 
 
 @st.composite
 def messy_tables(draw):
     """CSV text on CSV_SCHEME's columns plus a group column `g`, any of them
-    possibly listed twice, with blank lines, short and long rows and
-    unparsable values; and a filter on `g`, or none."""
+    possibly listed twice, with blank lines, short and long rows, unparsable
+    values, quoted, non-ASCII and CRLF-ended rows; and a filter on `g`, or
+    none."""
     header = ["score", "sex", "g"] + draw(st.lists(st.sampled_from(["score", "sex", "g", "z"]),
                                                     max_size=2))
     header = draw(st.permutations(header))
-    rows = draw(st.lists(st.lists(cells, max_size=len(header) + 2), max_size=12))
-    text = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
+    quirky = draw(st.booleans())
+    cells = st.sampled_from(quirky_cells if quirky else plain_cells)
+    ends = st.sampled_from(["\n", "\r\n"] if quirky else ["\n"])
+    rows = draw(st.lists(st.tuples(st.lists(cells, max_size=len(header) + 2), ends),
+                         max_size=12))
+    text = ",".join(header) + "\n" + "".join(",".join(row) + end for row, end in rows)
     record_filter = draw(st.one_of(st.none(), st.builds(
         RecordFilter, st.just("g"), st.sampled_from(["a", "b", "", "c"]), st.booleans())))
     return text, record_filter
 
 
-@SETTINGS
-@given(messy_tables())
-def test_read_flat_ids_matches_binning_dict_rows(case):
-    text, record_filter = case
+def assert_reads_like_dict_rows(text, record_filter):
+    """read_flat_ids gives the ids, order and dropped count of binning the
+    csv.DictReader rows the filter keeps, or EmptyInputError without rows."""
     rows = list(csv.DictReader(io.StringIO(text, newline="")))
     if not rows:
         with pytest.raises(EmptyInputError):
@@ -201,6 +210,75 @@ def test_read_flat_ids_matches_binning_dict_rows(case):
     assert flats.dtype == np.int64
     assert flats.tolist() == expected.tolist()
     assert dropped == expected_dropped
+
+
+@SETTINGS
+@given(messy_tables())
+def test_read_flat_ids_matches_binning_dict_rows(case):
+    # one block, then blocks of a few characters: numpy and csv.reader paths
+    for block in (histogram._BLOCK_BYTES, 5):
+        with mock.patch.object(histogram, "_BLOCK_BYTES", block):
+            assert_reads_like_dict_rows(*case)
+
+
+PLAIN_ROWS = "".join(f"{i % 11}.5,{'FM'[i % 2]},{'ab'[i % 3 == 0]}\n" for i in range(40))
+
+
+@pytest.mark.parametrize("late", ['"3,5",F,a\n', "\r\n4,M,a\r\n", "4,é,a\n", "١٢,F,b\n",
+                                  "4,F\0,a\n"],
+                         ids=["quote", "crlf", "latin", "arabic-digits", "nul"])
+@pytest.mark.parametrize("record_filter", [None, RecordFilter("g", "a")], ids=["all", "g=a"])
+def test_read_flat_ids_switches_to_csv_reader_mid_table(late, record_filter):
+    # plain blocks first, then a row only csv.reader reads, then plain rows again
+    with mock.patch.object(histogram, "_BLOCK_BYTES", 64):
+        assert_reads_like_dict_rows("score,sex,g\n" + PLAIN_ROWS + late + PLAIN_ROWS,
+                                    record_filter)
+
+
+@pytest.mark.parametrize("block", [3, 17, 64])
+def test_read_flat_ids_rows_across_block_reads(block):
+    # a read of `block` characters ends inside a row; the row is read whole
+    with mock.patch.object(histogram, "_BLOCK_BYTES", block):
+        assert_reads_like_dict_rows("score,sex,g\n" + PLAIN_ROWS + "\n7,F", None)
+
+
+@pytest.mark.parametrize("offset", [5, 20_001, 100_003])
+@pytest.mark.parametrize("sex", ["F", "é"])
+def test_read_flat_ids_reports_undecodable_byte_like_csv_reader(offset, sex):
+    rows = "".join(f"{i % 9}.5,{sex if i % 7 == 0 else 'M'},a\n" for i in range(20_000))
+    data = ("score,sex,g\n" + rows).encode()
+    data = data[:offset] + b"\xff" + data[offset:]
+    with pytest.raises(UnicodeDecodeError) as expected:
+        list(csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")))
+    with pytest.raises(SchemaError, match="is not UTF-8 text") as raised:
+        read_flat_ids(io.BytesIO(data), CSV_SCHEME)
+    assert str(raised.value).endswith(str(expected.value))
+
+
+@pytest.mark.parametrize("record_filter", [None, RecordFilter("g", "a")], ids=["all", "g=a"])
+def test_read_flat_ids_long_feature_fields_among_short_rows(record_filter):
+    # 100 000-character values in both feature columns of a plain block of
+    # 100 000 short rows: binned like csv.reader does, without a
+    # (rows x longest field) copy
+    long_score, long_sex = " " * 99_999 + "4", "F" + " " * 99_999
+    text = ("score,sex,g\n" + "1.5,M,a\n7,F,b\n" * 25_000 + f"{long_score},M,a\n"
+            + "2,F,a\n9,M,b\n" * 25_000 + f"3,{long_sex},a\n")
+    assert_reads_like_dict_rows(text, record_filter)
+    tracemalloc.start()
+    try:
+        read_flat_ids(io.StringIO(text, newline=""), CSV_SCHEME, record_filter)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * len(text)
+
+
+def test_read_flat_ids_late_long_field_in_unused_column_is_not_valid_csv():
+    # one character over the limit, in column `z`, which no feature reads, after block 1
+    text = "score,sex,g,z\n" + PLAIN_ROWS + f"1,F,a,{'z' * (csv.field_size_limit() + 1)}\n"
+    with mock.patch.object(histogram, "_BLOCK_BYTES", 64):
+        with pytest.raises(SchemaError, match="is not valid CSV"):
+            read_flat_ids(io.StringIO(text, newline=""), CSV_SCHEME)
 
 
 CLI_SCHEME = "feature.score = continuous:0:10:4\nfeature.age = continuous:18:80:3\n"
@@ -307,11 +385,30 @@ def test_baseline_sweep_invocations_never_exit_1(cli_files, p, factor, method):
 
 
 @settings(SETTINGS, max_examples=60)
-@given(constant=real_texts, n_features=st.integers(1, 6))
+@given(constant=real_texts,
+       n_features=st.one_of(st.integers(1, 6), st.integers(1, 6),
+                            st.sampled_from([10**30, 10**300, 10**308, 10**400])))
 def test_sample_size_union_constant_never_exits_1(constant, n_features):
     result = invoke_cli(["sample-size", "--eps", "0.05", "--delta", "0.05",
                          "--n-features", n_features, "--union-constant", constant])
     assert result.exit_code in (0, 2)
+
+
+# regs far below the cost scale run all 50 000 scaling iterations (seconds
+# each) before a ConvergenceError, so the fuzzed regs stay at 1e-3 and above
+reg_texts = st.one_of(st.floats(1e-3, 10).map(repr), st.sampled_from(
+    ["0.01", "1", "1e308", "inf", "-inf", "nan", "0", "-1", "x", "", "1e400"]))
+
+
+@settings(SETTINGS, max_examples=40)
+@given(p=st.one_of(st.sampled_from(["1", "2", "3"]), real_texts), reg=reg_texts,
+       method=st.sampled_from(["exact", "entropic", "entropic"]))
+def test_distance_invocations_never_exit_1(cli_files, p, reg, method):
+    result = invoke_cli(["distance", "--a", cli_files / "fem.hist", "--b", cli_files / "all.hist",
+                         "--p", p, "--reg", reg, "--method", method])
+    assert result.exit_code in (0, 2)
+    if result.exit_code == 0:
+        assert all(map(math.isfinite, map(float, result.output.strip().split(","))))
 
 
 @st.composite

@@ -19,13 +19,19 @@ Two source trees produce the same results when
 prints nothing.  The inputs are the criterion-10 fixture of the acceptance
 tests (`synth --rows 4000 --seed 33`, its scheme and its sweep config with
 the transport baseline), those of the three benchmark workloads at seed 1,
-and a messy table (blank lines, short and long rows, unparsable values, a
+a messy table (blank lines, short and long rows, unparsable values, a
 duplicated header column) that `bin` reads with and without a filter and
-`sweep` reads with the baseline, also for a subgroup no row has.
+`sweep` reads with the baseline, also for a subgroup no row has, a quoted
+copy of it with CRLF line ends and a non-ASCII category, and two tables over
+one read block with a categorical feature, one plain throughout and one
+whose last rows are quoted with CRLF ends, read by `bin` and `sweep` too.
+Between them the CSV reader's numpy path, its `csv.reader` path and the
+switch from one to the other mid-table all run.
 The commands are `synth`, `bin`, exact and subsampled `query`,
 `sample-size`, `distance --method exact` and `sweep`.
 """
 
+import csv
 import json
 import os
 import random
@@ -180,6 +186,50 @@ def main(src: str, inputs_dir: str, out: str) -> None:
     for cfg in ("messy-sweep", "messy-nobody", "messy-nosex"):
         run("sweep", "--config", I(cfg + ".cfg"), "--data", I("messy.csv"),
             "--out", O(cfg + ".csv"), "--threads", "2")
+
+    # the messy table quoted, with CRLF line ends and a non-ASCII category:
+    # every block goes through csv.reader
+    if fresh:
+        with open(I("messy.csv"), encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(I("quoted.csv"), "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(
+                [[field.replace("female", "Fémale") for field in row] for row in rows])
+        write("quoted-accent.cfg", messy_sweep.replace("Female", "Fémale"))
+    for flt, name in (("SEX=Female", "quoted-fem.hist"), (None, "quoted-all.hist"),
+                      ("SEX=Fémale", "quoted-accent.hist")):
+        run("bin", "--data", I("quoted.csv"), "--config", I("c10-scheme.cfg"), "--out", O(name),
+            *(["--filter", flt] if flt else []))
+    for cfg in ("messy-sweep", "quoted-accent"):
+        run("sweep", "--config", I(cfg + ".cfg"), "--data", I("quoted.csv"),
+            "--out", O("quoted-" + cfg + ".csv"), "--threads", "2")
+
+    # tables over one read block (about 1 MiB) with a categorical feature:
+    # big.csv is plain throughout, big-late.csv turns quoted and CRLF in its
+    # last rows, so its reads switch from numpy to csv.reader mid-table
+    if fresh:
+        rng = random.Random(SEED + 1)
+        lines = ["SEX,score,age,region,note"]
+        for i in range(40_000):
+            sex = rng.choice(["Female", "Male", "Male", "", "female"])
+            score = rng.choice([f"{rng.uniform(-1, 11):.4f}"] * 30 + ["", "x", " 5 ", "1_0"])
+            age = f"{18 + 62 * rng.random():.3f}"
+            region = rng.choice(["north", "east", "south", "west"] * 10 + [" east", "North", ""])
+            row = [sex, score, age, region, f"n{rng.randrange(10**6)}"]
+            kind = i % 97
+            lines.append("" if kind == 0 else ",".join(row[:3] if kind == 1 else row))
+        write("big.csv", "\n".join(lines) + "\n")
+        late = lines[:-50] + [f'"{line}"'.replace(",", '","') + "\r" for line in lines[-50:]]
+        write("big-late.csv", "\n".join(late) + "\n")
+        big_scheme = scheme + "feature.region = categorical:north,east,south,west\n"
+        write("big.cfg", big_scheme)
+        write("big-sweep.cfg", big_scheme + messy_sweep[len(scheme):])
+    for table in ("big", "big-late"):
+        for flt, name in (("SEX=Female", "fem"), (None, "all"), ("SEX!=Male", "notmale")):
+            run("bin", "--data", I(table + ".csv"), "--config", I("big.cfg"),
+                "--out", O(f"{table}-{name}.hist"), *(["--filter", flt] if flt else []))
+        run("sweep", "--config", I("big-sweep.cfg"), "--data", I(table + ".csv"),
+            "--out", O(table + "-sweep.csv"), "--threads", "2")
 
     log.close()
     for name in os.listdir(out):
