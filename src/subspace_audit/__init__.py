@@ -14,8 +14,7 @@ from .errors import (AlignmentError, AuditError, BudgetError, ConvergenceError,
 from .histogram import (BinningScheme, FeatureSpec, JointHistogram,
                         ProbabilityHistogram, RecordFilter, ingest_csv,
                         normalize, read_flat_ids, read_histogram, write_histogram)
-from .pac import (SampleBudget, analytic_false_positive, sample_size,
-                  vc_dimension_bound)
+from .pac import analytic_false_positive, sample_size, vc_dimension_bound
 from .query import (QueryOutcome, ReferenceBand, ViolationReport, exact_query,
                     subsampled_query, violation_report)
 from .sweep import (SweepConfig, SweepResult, WassersteinBaseline,
@@ -30,7 +29,7 @@ __all__ = [
     "BinningScheme", "FeatureSpec", "JointHistogram", "ProbabilityHistogram",
     "RecordFilter", "ingest_csv", "normalize", "read_flat_ids", "read_histogram",
     "write_histogram",
-    "SampleBudget", "analytic_false_positive", "sample_size", "vc_dimension_bound",
+    "analytic_false_positive", "sample_size", "vc_dimension_bound",
     "QueryOutcome", "ReferenceBand", "ViolationReport", "exact_query",
     "subsampled_query", "violation_report",
     "SweepConfig", "SweepResult", "WassersteinBaseline", "eps_to_delta",

@@ -29,7 +29,7 @@ from .fileio import atomic_write_text, sha256_file
 from .histogram import (JointHistogram, ProbabilityHistogram, RecordFilter,
                         ingest_csv, normalize, read_flat_ids, read_histogram,
                         write_histogram)
-from .pac import SampleBudget, analytic_false_positive
+from .pac import analytic_false_positive, sample_size, vc_dimension_bound
 from .query import (ReferenceBand, subsampled_query, verdict_record,
                     violation_report)
 from .sweep import measure_from_flats, run_supnorm_sweep, run_wasserstein_sweep
@@ -168,14 +168,15 @@ def cmd_query(reference, test_path, delta, samples, seed):
               help="Constant in the O(n log n) dimension bound.")
 def cmd_sample_size(eps, delta_prob, n_features, total_bins, union_constant):
     """Print d,s(,analytic_rate,capped?) as a single CSV row."""
-    budget = SampleBudget.plan(eps, delta_prob, n_features, union_constant=union_constant)
-    fields = [str(budget.vc_dim), str(budget.samples)]
+    vc_dim = vc_dimension_bound(n_features, union_constant)
+    samples = sample_size(eps, delta_prob, vc_dim)
+    fields = [str(vc_dim), str(samples)]
     if total_bins is not None:
         violating = min(math.ceil(eps * total_bins), total_bins)
-        effective = min(budget.samples, total_bins)
+        effective = min(samples, total_bins)
         rate = analytic_false_positive(total_bins, violating, effective)
-        fields = [str(budget.vc_dim), str(effective), repr(rate)]
-        if budget.samples > total_bins:
+        fields = [str(vc_dim), str(effective), repr(rate)]
+        if samples > total_bins:
             fields.append("capped")
     click.echo(",".join(fields))
 

@@ -73,39 +73,34 @@ def sweep_config_from(cfg: dict[str, str], scheme: BinningScheme, *,
     """Assemble a SweepConfig from file values plus flag overrides.
 
     `seed`, `threads`, and `baseline` override the file when not None; a seed
-    must come from one of the two sources.
+    must come from one of the two sources.  `baseline = wasserstein` needs
+    `threshold_factor`.
     """
-    def need(key: str) -> str:
-        if key not in cfg:
-            raise SchemaError(f"config is missing required key: {key}")
-        return cfg[key]
-
-    eps_grid = _floats(cfg, "eps")
-    delta_grid = _floats(cfg, "delta")
+    eps_grid = _get(cfg, "eps", _listed(float), [])
+    delta_grid = _get(cfg, "delta", _listed(float), [])
     if seed is None:
-        seed_text = cfg.get("seed")
-        if seed_text is None:
+        if "seed" not in cfg:
             raise SchemaError("config is missing required key: seed (or pass --seed)")
-        seed = _int(cfg, "seed")
+        seed = _get(cfg, "seed", int)
     if threads is None:
-        threads = _int(cfg, "threads") if "threads" in cfg else 1
+        threads = _get(cfg, "threads", int, 1)
     baseline_name = baseline if baseline is not None else cfg.get("baseline", "none")
     if baseline_name not in ("none", "wasserstein"):
         raise SchemaError(f"bad value for config key baseline: {baseline_name!r}")
     baseline_obj = None
     if baseline_name == "wasserstein":
         baseline_obj = WassersteinBaseline(
-            p=_float(cfg, "p", 2.0),
-            threshold_factor=_float(cfg, "threshold_factor", 1.0),
+            p=_get(cfg, "p", float, 2.0),
+            threshold_factor=_get(cfg, "threshold_factor", float),
             method=cfg.get("method", "exact"),
-            trials=_int(cfg, "baseline_trials") if "baseline_trials" in cfg else None,
+            trials=_get(cfg, "baseline_trials", int, None),
         )
     return SweepConfig(
         scheme=scheme,
-        protected_column=need("protected"),
-        subgroup_value=need("subgroup"),
-        sample_sizes=tuple(_ints(cfg, "samples")),
-        trials=_int(cfg, "trials"),
+        protected_column=_get(cfg, "protected", str),
+        subgroup_value=_get(cfg, "subgroup", str),
+        sample_sizes=tuple(_get(cfg, "samples", _listed(int))),
+        trials=_get(cfg, "trials", int),
         seed=seed,
         eps_grid=tuple(eps_grid),
         delta_grid=tuple(delta_grid),
@@ -114,37 +109,23 @@ def sweep_config_from(cfg: dict[str, str], scheme: BinningScheme, *,
     )
 
 
-def _floats(cfg: dict[str, str], key: str) -> list[float]:
+_REQUIRED = object()
+
+
+def _get(cfg: dict[str, str], key: str, convert, default=_REQUIRED):
+    """`convert(cfg[key])`, or `default` when the key is absent; a key
+    without a default is required.  A ValueError from `convert` names the
+    key and its value."""
     if key not in cfg:
-        return []
-    try:
-        return [float(part) for part in cfg[key].split(",") if part.strip()]
-    except ValueError as exc:
-        raise SchemaError(f"bad value for config key {key}: {cfg[key]!r}") from exc
-
-
-def _ints(cfg: dict[str, str], key: str) -> list[int]:
-    if key not in cfg:
-        raise SchemaError(f"config is missing required key: {key}")
-    try:
-        return [int(part) for part in cfg[key].split(",") if part.strip()]
-    except ValueError as exc:
-        raise SchemaError(f"bad value for config key {key}: {cfg[key]!r}") from exc
-
-
-def _int(cfg: dict[str, str], key: str) -> int:
-    try:
-        return int(cfg[key])
-    except KeyError as exc:
-        raise SchemaError(f"config is missing required key: {key}") from exc
-    except ValueError as exc:
-        raise SchemaError(f"bad value for config key {key}: {cfg[key]!r}") from exc
-
-
-def _float(cfg: dict[str, str], key: str, default: float) -> float:
-    if key not in cfg:
+        if default is _REQUIRED:
+            raise SchemaError(f"config is missing required key: {key}")
         return default
     try:
-        return float(cfg[key])
+        return convert(cfg[key])
     except ValueError as exc:
         raise SchemaError(f"bad value for config key {key}: {cfg[key]!r}") from exc
+
+
+def _listed(convert):
+    """Converter of comma-separated text; empty parts are skipped."""
+    return lambda text: [convert(part) for part in text.split(",") if part.strip()]

@@ -11,9 +11,12 @@ The budget formulas bound that error a priori through a range-space argument:
 the band constraints form two families of axis-aligned half-spaces, each of
 VC dimension at most n + 1, whose union has dimension O(n log n) in the
 number of encoded features; feeding that dimension into the classical
-epsilon-net sample bound gives a sufficient number of sampled bins.  The
-asymptotic statements carry no constants, so explicit (configurable) choices
-are pinned here to make the numbers reproducible.
+epsilon-net sample bound gives a sufficient number of sampled bins
+(`sample_size(eps, delta_prob, vc_dimension_bound(n))`; a caller who prefers
+the per-family dimension passes d = n + 1 instead).  The asymptotic
+statements carry no constants, so explicit ones are pinned here to make the
+numbers reproducible: the net bound's as module constants, and the union
+constant as the default that `sample-size --union-constant` overrides.
 
 All functions are pure and safe to call concurrently.
 """
@@ -21,9 +24,13 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ParameterError
+
+# constants of the two-term epsilon-net bound in `sample_size`
+NET_CONSTANT = 8.0
+TAIL_CONSTANT = 4.0
+TAIL_LOG_NUMERATOR = 2.0
 
 
 def vc_dimension_bound(n_features: int, union_constant: float = 2.0) -> int:
@@ -46,19 +53,16 @@ def vc_dimension_bound(n_features: int, union_constant: float = 2.0) -> int:
     return max(math.ceil(raw), n_features + 1)
 
 
-def sample_size(eps: float, delta_prob: float, vc_dim: int, *,
-                net_constant: float = 8.0,
-                tail_constant: float = 4.0,
-                tail_log_numerator: float = 2.0) -> int:
+def sample_size(eps: float, delta_prob: float, vc_dim: int) -> int:
     """Bin budget sufficient for an eps-net at confidence 1 - delta_prob.
 
-    Classical two-term bound with the Haussler-Welzl constants by default:
+    Classical two-term bound with the Haussler-Welzl constants:
 
-        s = ceil(max((net_constant * d / eps) * ln(net_constant * d / eps),
-                     (tail_constant / eps) * ln(tail_log_numerator / delta_prob)))
+        s = ceil(max((NET_CONSTANT * d / eps) * ln(NET_CONSTANT * d / eps),
+                     (TAIL_CONSTANT / eps) * ln(TAIL_LOG_NUMERATOR / delta_prob)))
 
     The result is non-increasing in eps and delta_prob and non-decreasing in
-    vc_dim.  All three constants are configurable for sensitivity studies.
+    vc_dim.
     """
     if not 0.0 < eps < 1.0:
         raise ParameterError("eps must lie strictly inside (0, 1)")
@@ -66,9 +70,9 @@ def sample_size(eps: float, delta_prob: float, vc_dim: int, *,
         raise ParameterError("delta_prob must lie strictly inside (0, 1)")
     if vc_dim < 1:
         raise ParameterError("vc_dim must be at least 1")
-    net_arg = net_constant * vc_dim / eps
+    net_arg = NET_CONSTANT * vc_dim / eps
     net_term = net_arg * math.log(net_arg) if net_arg > 1.0 else 0.0
-    tail_term = (tail_constant / eps) * math.log(tail_log_numerator / delta_prob)
+    tail_term = (TAIL_CONSTANT / eps) * math.log(TAIL_LOG_NUMERATOR / delta_prob)
     if max(net_term, tail_term) == math.inf:
         raise ParameterError("the sample budget overflows: eps too small or vc_dim too large")
     return max(1, math.ceil(max(net_term, tail_term)))
@@ -100,27 +104,3 @@ def analytic_false_positive(total_bins: int, violating_bins: int, size: int) -> 
 
 def _log_comb(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-@dataclass(frozen=True)
-class SampleBudget:
-    """Resolved sampling budget for one query setting."""
-
-    eps: float
-    delta_prob: float
-    n_features: int
-    vc_dim: int
-    samples: int
-
-    @classmethod
-    def plan(cls, eps: float, delta_prob: float, n_features: int,
-             union_constant: float = 2.0, **size_constants) -> "SampleBudget":
-        """Derive the VC bound from the feature count, then the bin budget.
-
-        Callers that prefer the per-family dimension n + 1 over the union
-        bound can call sample_size directly with their own d.
-        """
-        vc_dim = vc_dimension_bound(n_features, union_constant)
-        samples = sample_size(eps, delta_prob, vc_dim, **size_constants)
-        return cls(eps=eps, delta_prob=delta_prob, n_features=n_features,
-                   vc_dim=vc_dim, samples=samples)

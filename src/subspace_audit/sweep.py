@@ -5,7 +5,9 @@ realize the requested violation fractions, replays the subsampled membership
 test many times per (fraction, sample size) cell, and tabulates the empirical
 rate of one-sided errors next to the exact hypergeometric rate.  A
 record-subsampling Wasserstein decision protocol provides the comparison
-baseline curve.  Both sweeps count measures from flat bin ids binned once
+baseline curve; its threshold factor has no default.  `SweepConfig` checks
+the grids when it is built, before any table is read: explicit half-widths
+follow `ReferenceBand`'s rule (finite and non-negative).  Both sweeps count measures from flat bin ids binned once
 (`histogram.read_flat_ids`, or `flat_bin_ids` for in-memory rows), and each
 cell's violation mask is scattered from the violating ids of
 `query.violation_report`.
@@ -92,17 +94,18 @@ def eps_to_delta(test: ProbabilityHistogram, reference: ProbabilityHistogram,
     return DeltaForTarget(delta=delta, eps_actual=violations / n_total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class WassersteinBaseline:
     """Decision protocol for the record-subsampled transport comparison.
 
     The full-data distance between subgroup and reference, scaled by
     `threshold_factor`, fixes the decision threshold; a measure is declared
-    inside when its distance stays strictly below it.
+    inside when its distance stays strictly below it.  The factor has no
+    default: at 1 the full data would be outside by construction.
     """
 
     p: float = 2.0
-    threshold_factor: float = 1.0
+    threshold_factor: float
     method: str = "exact"
     trials: int | None = None  # None: reuse the sweep-wide trial count
 
@@ -147,8 +150,8 @@ class SweepConfig:
             raise ParameterError("give either eps targets or explicit deltas, not both")
         if any(not 0.0 < e < 1.0 for e in self.eps_grid):
             raise ParameterError("eps grid values must lie strictly inside (0, 1)")
-        if any(d < 0 for d in self.delta_grid):
-            raise ParameterError("delta grid values must be non-negative")
+        if any(not (math.isfinite(d) and d >= 0) for d in self.delta_grid):
+            raise ParameterError("delta grid values must be finite and non-negative")
         if self.seed < 0:
             raise ParameterError("seed must be non-negative")
         if self.threads < 1:
@@ -338,12 +341,15 @@ def run_wasserstein_sweep(config: SweepConfig, test: tuple[np.ndarray, int],
     full-data distance between them fixes a threshold (scaled by the
     baseline's factor); each trial redraws `s` subgroup records without
     replacement and decides inside iff their measure's distance stays below
-    the threshold.  An error is any disagreement with the full-data decision.  Per-trial decisions are
-    Bernoulli, so the stderr column doubles as the standard-deviation band.
+    the threshold.  An error is any disagreement with the full-data
+    decision.  Per-trial decisions are Bernoulli, so the stderr column
+    doubles as the standard-deviation band.  `config.baseline` must be set.
     The full-data solve and every trial's solve share one pool of
     `config.threads` workers; the result does not depend on that count.
     """
-    baseline = config.baseline or WassersteinBaseline()
+    baseline = config.baseline
+    if baseline is None:
+        raise ParameterError("the sweep config declares no transport baseline")
     scheme = config.scheme
     (test_flats, dropped_test), (ref_flats, dropped_ref) = test, reference
     ref_measure = measure_from_flats(ref_flats, scheme)

@@ -2,18 +2,21 @@
 
 Four routes are provided.  On the line, the p-Wasserstein distance between
 atomic measures is evaluated in closed form by merging the two quantile
-functions and integrating segment by segment.  For general discrete
-marginals, the transportation linear program is solved with HiGHS and the
-optimum is certified through complementary slackness on the recovered dual
-potentials.  Between histograms on a product grid at p = 2, the ground cost
-sum_k (x_k - y_k)^2 is separable, and the exact distance is a min-cost flow
+functions and integrating segment by segment.  The two exact routes off
+the line are min-cost flows through one core, `_certified_flow`, which
+solves the flow LP over the node-arc incidence matrix with HiGHS and
+certifies the optimum through complementary slackness on the node
+potentials.  For general discrete marginals the flow is the complete
+bipartite transportation LP.  Between histograms on a product grid at
+p = 2, the ground cost sum_k (x_k - y_k)^2 is separable, and the flow runs
 on a (d+1)-partite graph whose arcs change one coordinate each (Auricchio,
-Bassetti, Gualandi & Veneroni, NeurIPS 2018); its optimum is certified by
-the node potentials in the same way.  It replaces the |supp a| * |supp b|
-dense variables by roughly |supp| * sum_k n_k arcs and never builds the
-dense cost matrix.  An entropic-regularized approximation runs
-log-domain scaling iterations with a stepped regularization schedule, so
-small regularizations neither overflow nor stall.
+Bassetti, Gualandi & Veneroni, NeurIPS 2018): roughly |supp| * sum_k n_k
+arcs instead of |supp a| * |supp b| dense variables, with no dense cost
+matrix.  An entropic-regularized approximation runs log-domain scaling
+iterations with a stepped regularization schedule, so small
+regularizations neither overflow nor stall.  The transportation LP and the
+scaling solver share `_on_support`, which validates the marginals and the
+cost and prunes and reinstates zero-mass atoms.
 
 Solvers are single-threaded per instance; separate instances may run
 concurrently on immutable inputs, and HiGHS releases the GIL while it
@@ -36,6 +39,8 @@ from .histogram import BinningScheme, ProbabilityHistogram
 
 _MARGINAL_TOL = 1e-9
 _CERT_TOL = 1e-7
+# largest support product |supp a| * |supp b| an exact solve accepts
+_MAX_EXACT_ENTRIES = 4_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,59 +87,77 @@ def kantorovich_lp(a, b, cost) -> TransportPlan:
     Returns a basic optimal coupling whose row sums match `a` and column sums
     match `b` within 1e-9.  Zero-mass atoms are pruned before the solve and
     reinstated as zero rows/columns (their potentials are reported as zero).
-    The optimum is certified: the recovered dual potentials must satisfy
+    The LP is the complete bipartite case of `_certified_flow`, so the
+    optimum is certified: the recovered dual potentials must satisfy
     u_i + v_j <= c_ij everywhere, with equality wherever the plan is positive.
+    """
+    plan = _on_support(a, b, cost, _dense_flow)
+    if plan.marginal_residual > _MARGINAL_TOL:
+        raise ConvergenceError(f"plan marginals off by {plan.marginal_residual:.3e}",
+                               residual=plan.marginal_residual)
+    return plan
+
+
+def _dense_flow(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
+    # arc i -> n + j carries x_ij, in row-major order
+    n, m = cost.shape
+    tail, head = np.divmod(np.arange(n * m), m)
+    flow, potentials, _ = _certified_flow(tail, n + head, cost.reshape(-1), a, b, n + m)
+    return flow.reshape(n, m), potentials[:n], potentials[n:], None
+
+
+def _on_support(a, b, cost, solve) -> TransportPlan:
+    """Validate the marginals and the cost, run `solve` on the atoms that
+    carry mass, and reinstate the others as zero rows, columns and potentials.
+
+    `solve(a, b, cost)` returns the coupling, the row and column potentials
+    and the iteration count (None when it does not iterate).
     """
     a = _as_marginal(a, "first marginal")
     b = _as_marginal(b, "second marginal")
     c = _as_cost(cost, a.size, b.size)
-
-    rows = np.flatnonzero(a > 0)
-    cols = np.flatnonzero(b > 0)
-    ar, br = a[rows], b[cols]
-    cr = c[np.ix_(rows, cols)]
-    n, m = ar.size, br.size
-
-    x, duals = _solve_highs(cr.reshape(-1), _transport_constraints(n, m),
-                            np.concatenate([ar, br]))
-    plan_r = x.reshape(n, m)
-    _certify(plan_r, cr, cr - duals[:n, None] - duals[None, n:])
-
+    rows, cols = np.flatnonzero(a > 0), np.flatnonzero(b > 0)
+    coupling, u_r, v_r, iterations = solve(a[rows], b[cols], c[np.ix_(rows, cols)])
     plan = np.zeros((a.size, b.size))
-    plan[np.ix_(rows, cols)] = plan_r
-    u = np.zeros(a.size)
-    u[rows] = duals[:n]
-    v = np.zeros(b.size)
-    v[cols] = duals[n:]
-    residual = _marginal_residual(plan, a, b)
-    if residual > _MARGINAL_TOL:
-        raise ConvergenceError(f"plan marginals off by {residual:.3e}", residual=residual)
+    plan[np.ix_(rows, cols)] = coupling
+    u, v = np.zeros(a.size), np.zeros(b.size)
+    u[rows], v[cols] = u_r, v_r
     return TransportPlan(coupling=plan, cost=float((c * plan).sum()),
-                         marginal_residual=residual,
-                         row_potentials=u, col_potentials=v)
+                         marginal_residual=_marginal_residual(plan, a, b),
+                         row_potentials=u, col_potentials=v, iterations=iterations)
 
 
-def _transport_constraints(n: int, m: int) -> sparse.csr_matrix:
-    # row i pins x[i*m:(i+1)*m]; column j pins x[j::m]
-    var = np.arange(n * m)
-    row_ids = np.concatenate([var // m, n + (var % m)])
-    col_ids = np.concatenate([var, var])
-    data = np.ones(2 * n * m)
-    return sparse.csr_matrix((data, (row_ids, col_ids)), shape=(n + m, n * m))
+def _certified_flow(tail: np.ndarray, head: np.ndarray, cost: np.ndarray, a: np.ndarray,
+                    b: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Certified min-cost flow from supplies `a` to demands `b`.
+
+    The first a.size of the `nodes` nodes are the sources and the last
+    b.size the sinks; arc k runs from tail[k] to head[k] at cost[k].  HiGHS
+    solves the flow LP over the node-arc incidence matrix, and the optimum
+    is certified from the node potentials: every arc's reduced cost is
+    non-negative, and zero where the flow is positive.  Returns the flow,
+    the node potentials and the largest node-balance residual.
+    """
+    arcs = np.arange(cost.size)
+    # source rows count outflow; transit and sink rows count inflow - outflow
+    sign = np.where(tail < a.size, 1.0, -1.0)
+    incidence = sparse.csr_matrix((np.concatenate([sign, np.ones(cost.size)]),
+                                   (np.concatenate([tail, head]), np.concatenate([arcs, arcs]))),
+                                  shape=(nodes, cost.size))
+    balance = np.zeros(nodes)
+    balance[:a.size] = a
+    balance[nodes - b.size:] = b
+    flow, potentials = _solve_highs(cost, incidence, balance)
+    _certify(flow, cost, cost - incidence.T @ potentials)
+    return flow, potentials, float(np.abs(incidence @ flow - balance).max())
 
 
 def _solve_highs(cost: np.ndarray, a_eq: sparse.csr_matrix,
                  b_eq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Optimal x >= 0 of min cost.x s.t. a_eq x = b_eq, and the equality duals."""
-    result = linprog(
-        cost,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-10,
-                 "dual_feasibility_tolerance": 1e-10},
-    )
+    result = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                     options={"primal_feasibility_tolerance": 1e-10,
+                              "dual_feasibility_tolerance": 1e-10})
     if not result.success:
         raise ConvergenceError(f"transportation solve failed: {result.message}")
     return result.x, np.asarray(result.eqlin.marginals, dtype=float)
@@ -166,59 +189,43 @@ def sinkhorn(a, b, cost, reg: float, max_iter: int = 50_000, tol: float = 1e-9) 
     Raises ConvergenceError (carrying the last scaling residual) when that
     residual is still above `tol` after `max_iter` total iterations.
     """
-    a = _as_marginal(a, "first marginal")
-    b = _as_marginal(b, "second marginal")
-    c = _as_cost(cost, a.size, b.size)
+    return _on_support(a, b, cost, lambda ar, br, cr: _scale(ar, br, cr, reg, max_iter, tol))
+
+
+def _scale(a, b, cost, reg, max_iter, tol):
+    """`sinkhorn` on marginals without zero-mass atoms."""
     if not 0 < reg < math.inf:
         raise ParameterError("regularization must be finite and positive")
     if max_iter < 1:
         raise ParameterError("max_iter must be at least 1")
+    log_a, log_b = np.log(a), np.log(b)
+    f, g = np.zeros(a.size), np.zeros(b.size)
 
-    rows = np.flatnonzero(a > 0)
-    cols = np.flatnonzero(b > 0)
-    ar, br = a[rows], b[cols]
-    cr = c[np.ix_(rows, cols)]
-    log_a = np.log(ar)
-    log_b = np.log(br)
-    f = np.zeros(ar.size)
-    g = np.zeros(br.size)
-
-    schedule = _reg_schedule(float(cr.max(initial=0.0)), reg)
+    schedule = _reg_schedule(float(cost.max(initial=0.0)), reg)
     iterations = 0
     residual = math.inf
-    plan_r = np.outer(ar, br)
+    plan = np.outer(a, b)
     for stage, r in enumerate(schedule):
         final = stage == len(schedule) - 1
         stage_tol = tol if final else max(tol, 1e-3)
         stage_cap = max_iter if final else min(max_iter, iterations + 500)
         while iterations < stage_cap:
-            f_new = r * (log_a - logsumexp((g[None, :] - cr) / r, axis=1))
-            g_new = r * (log_b - logsumexp((f_new[:, None] - cr) / r, axis=0))
+            f_new = r * (log_a - logsumexp((g[None, :] - cost) / r, axis=1))
+            g_new = r * (log_b - logsumexp((f_new[:, None] - cost) / r, axis=0))
             step_f, step_g = f_new - f, g_new - g
             f, g = f_new, g_new
             iterations += 1
-            plan_r = np.exp((f[:, None] + g[None, :] - cr) / r)
-            residual = _marginal_residual(plan_r, ar, br)
+            plan = np.exp((f[:, None] + g[None, :] - cost) / r)
+            residual = _marginal_residual(plan, a, b)
             if residual <= stage_tol:
                 break
             if iterations % 20 == 0:
-                f, g = _extrapolate(f, g, step_f, step_g, cr, ar, br, r)
+                f, g = _extrapolate(f, g, step_f, step_g, cost, a, b, r)
     if residual > tol:
         raise ConvergenceError(
             f"scaling iterations stalled at residual {residual:.3e} after {iterations} iterations",
             residual=residual)
-
-    plan_r = _round_to_feasible(plan_r, ar, br)
-    plan = np.zeros((a.size, b.size))
-    plan[np.ix_(rows, cols)] = plan_r
-    u = np.zeros(a.size)
-    u[rows] = f
-    v = np.zeros(b.size)
-    v[cols] = g
-    return TransportPlan(coupling=plan, cost=float((c * plan).sum()),
-                         marginal_residual=_marginal_residual(plan, a, b),
-                         row_potentials=u, col_potentials=v,
-                         iterations=iterations)
+    return _round_to_feasible(plan, a, b), f, g, iterations
 
 
 def _dual_objective(f: np.ndarray, g: np.ndarray, cost: np.ndarray,
@@ -377,27 +384,15 @@ def _grid_w2(layers: _GridLayers, a: np.ndarray, b: np.ndarray,
     along the path that changes one coordinate per layer costs exactly the
     ground cost, and that path is the only one between them.  The flow LP
     over the layers therefore has the optimum of the dense transportation
-    LP with far fewer variables.  The optimum is certified by the node
-    potentials: every arc's reduced cost is non-negative, and zero where
-    the flow is positive.  The coupling (with_plan=True) is recovered by
+    LP with far fewer variables, and `_certified_flow` certifies it from the
+    node potentials.  The coupling (with_plan=True) is recovered by
     splitting each node's throughput over its outgoing arcs in proportion;
     it costs what the flow costs.  Without with_plan the coupling is None.
     Layer 0's and layer d's potentials are the row and column potentials.
     """
     d = len(layers.sizes) - 1
     tail, head, cost = map(np.concatenate, zip(*(layers.stage(k) for k in range(d))))
-    arcs = np.arange(cost.size)
-    # source rows count outflow; transit and sink rows count inflow - outflow
-    sign = np.where(tail < a.size, 1.0, -1.0)
-    nodes = int(layers.offsets[-1])
-    a_eq = sparse.csr_matrix((np.concatenate([sign, np.ones(cost.size)]),
-                              (np.concatenate([tail, head]), np.concatenate([arcs, arcs]))),
-                             shape=(nodes, cost.size))
-    b_eq = np.zeros(nodes)
-    b_eq[:a.size] = a
-    b_eq[nodes - b.size:] = b
-    flow, duals = _solve_highs(cost, a_eq, b_eq)
-    _certify(flow, cost, cost - a_eq.T @ duals)
+    flow, potentials, residual = _certified_flow(tail, head, cost, a, b, layers.offsets[-1])
 
     if with_plan:
         coupling = sparse.diags(a, format="csr")
@@ -413,28 +408,28 @@ def _grid_w2(layers: _GridLayers, a: np.ndarray, b: np.ndarray,
         residual = _marginal_residual(coupling, a, b)
     else:
         coupling = None
-        residual = float(np.abs(a_eq @ flow - b_eq).max())
     if residual > _MARGINAL_TOL:
         raise ConvergenceError(f"flow marginals off by {residual:.3e}", residual=residual)
     return TransportPlan(coupling=coupling, cost=float(cost @ flow),
                          marginal_residual=residual,
-                         row_potentials=duals[:a.size], col_potentials=duals[nodes - b.size:])
+                         row_potentials=potentials[:a.size],
+                         col_potentials=potentials[-b.size:])
 
 
 def wasserstein_nd(a: ProbabilityHistogram, b: ProbabilityHistogram, p: float = 2.0,
                    method: str = "exact", *, reg_factor: float = 0.01,
-                   max_iter: int = 50_000, tol: float = 1e-9,
-                   max_exact_entries: int = 4_000_000, with_plan: bool = False):
+                   with_plan: bool = False):
     """p-Wasserstein distance between joint histograms on a shared scheme.
 
     Ground cost is the Euclidean distance between bin-center coordinate
-    vectors raised to p, built over non-empty bins only.  method="exact"
-    solves the transport problem to a certified optimum: for p = 2 as a
-    min-cost flow on the layered grid graph (see `_grid_w2`), otherwise as
-    the transportation LP.  method="entropic" runs the scaling
-    solver at reg = reg_factor * max cost.  With with_plan=True returns
-    (distance, TransportPlan) — the plan lives on the two supports, ordered
-    by bin index.
+    vectors raised to p, built over non-empty bins only; a p at which a
+    cost overflows is rejected.  method="exact" solves the transport
+    problem to a certified optimum: for p = 2 as a min-cost flow on the
+    layered grid graph (see `_grid_w2`), otherwise as the transportation
+    LP, and refuses support products above `_MAX_EXACT_ENTRIES`.
+    method="entropic" runs the scaling solver at reg = reg_factor * max
+    cost.  With with_plan=True returns (distance, TransportPlan) — the plan
+    lives on the two supports, ordered by bin index.
     """
     if not 1 <= p < math.inf:
         raise ParameterError("order p must be finite and at least 1")
@@ -445,10 +440,10 @@ def wasserstein_nd(a: ProbabilityHistogram, b: ProbabilityHistogram, p: float = 
     (flats_a, wa), (flats_b, wb) = _support(a), _support(b)
     if not wa.size or not wb.size:
         raise ParameterError("both histograms need non-empty support")
-    if method == "exact" and wa.size * wb.size > max_exact_entries:
+    if method == "exact" and wa.size * wb.size > _MAX_EXACT_ENTRIES:
         raise SupportSizeError(
             f"support product {wa.size}x{wb.size} exceeds "
-            f"{max_exact_entries} entries; use method='entropic'")
+            f"{_MAX_EXACT_ENTRIES} entries; use method='entropic'")
 
     if method == "exact" and p == 2:
         plan = _grid_w2(_GridLayers(a.scheme, flats_a, flats_b),
@@ -457,13 +452,16 @@ def wasserstein_nd(a: ProbabilityHistogram, b: ProbabilityHistogram, p: float = 
     else:
         pts_a, pts_b = _points(a.scheme, flats_a), _points(b.scheme, flats_b)
         dist = np.sqrt(((pts_a[:, None, :] - pts_b[None, :, :]) ** 2).sum(axis=2))
-        costs = dist ** p
+        with np.errstate(over="ignore"):
+            costs = dist ** p
+        top = float(costs.max())
+        if top == math.inf:
+            raise ParameterError(f"ground costs overflow at order p = {p!r}; use a smaller p")
         if method == "exact":
             plan = kantorovich_lp(wa, wb, costs)
-        elif float(costs.max()) == 0.0:
+        elif top == 0.0:
             plan = TransportPlan(coupling=np.outer(wa, wb), cost=0.0, marginal_residual=0.0)
         else:
-            plan = sinkhorn(wa, wb, costs, reg=reg_factor * float(costs.max()),
-                            max_iter=max_iter, tol=tol)
+            plan = sinkhorn(wa, wb, costs, reg=reg_factor * top)
     distance = float(max(plan.cost, 0.0) ** (1.0 / p))
     return (distance, plan) if with_plan else distance

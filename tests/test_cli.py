@@ -253,14 +253,17 @@ class TestErrorBoundary:
     @pytest.mark.parametrize("p, factor, key", [("nan", "1.25", "baseline p"),
                                                  ("inf", "1.25", "baseline p"),
                                                  ("2", "nan", "threshold_factor"),
-                                                 ("2", "inf", "threshold_factor")])
+                                                 ("2", "inf", "threshold_factor"),
+                                                 ("2", None, "threshold_factor")])
     def test_non_finite_baseline_parameters_exit_2(self, workspace, p, factor, key):
         # one feature takes the 1-D route, where p = nan used to exit 0 and
-        # write NaN into the manifest, and threshold_factor = inf Infinity
+        # write NaN into the manifest, and threshold_factor = inf Infinity;
+        # without the factor, its old default 1 made the full data outside
         runner, root = workspace
         cfg = ("feature.score = continuous:0:10:8\nprotected = SEX\nsubgroup = Female\n"
                "eps = 0.2\nsamples = 5\ntrials = 20\nseed = 1\nbaseline = wasserstein\n"
-               f"baseline_trials = 3\np = {p}\nthreshold_factor = {factor}\n")
+               f"baseline_trials = 3\np = {p}\n")
+        cfg += "" if factor is None else f"threshold_factor = {factor}\n"
         (root / "nf.cfg").write_text(cfg)
         result = run(runner, ["sweep", "--config", root / "nf.cfg", "--data", root / "data.csv",
                               "--out", root / "nf.csv"])
@@ -459,6 +462,16 @@ class TestDistance:
         d_exact = float(exact.output.strip().split(",")[0])
         d_approx = float(approx.output.strip().split(",")[0])
         assert d_approx == pytest.approx(d_exact, rel=0.1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["exact", "entropic"])
+    def test_overflowing_order_names_p(self, hists, method):
+        # dist ** p overflowed with a RuntimeWarning, then blamed the cost matrix
+        runner, root = hists
+        result = run(runner, ["distance", "--a", root / "all.hist", "--b", root / "fem.hist",
+                              "--p", "200", "--method", method])
+        assert result.exit_code == 2, result.output
+        assert "order p = 200.0" in result.output
 
     def test_incompatible_schemes_exit_3(self, hists):
         runner, root = hists

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from subspace_audit.errors import ParameterError
-from subspace_audit.pac import (SampleBudget, analytic_false_positive,
-                                sample_size, vc_dimension_bound)
+from subspace_audit.pac import (analytic_false_positive, sample_size,
+                                vc_dimension_bound)
 
 
 def hypergeometric_miss_exact(n, k, s):
@@ -86,11 +86,6 @@ class TestSampleSize:
         with pytest.raises(ParameterError):
             sample_size(0.05, 0.05, 10**307)
 
-    def test_constants_are_configurable(self):
-        default = sample_size(0.1, 0.1, 5)
-        looser = sample_size(0.1, 0.1, 5, net_constant=4.0)
-        assert looser < default
-
 
 class TestAnalyticFalsePositive:
     def test_no_violations_gives_one(self):
@@ -156,11 +151,6 @@ class TestAnalyticFalsePositive:
 
 
 class TestSampleBudget:
-    def test_plan_is_consistent(self):
-        budget = SampleBudget.plan(0.5, 0.5, 1)
-        assert budget.vc_dim == 7
-        assert budget.samples == sample_size(0.5, 0.5, 7)
-
     def test_plan_accepts_per_family_dimension(self):
         direct = sample_size(0.1, 0.1, 3 + 1)  # caller-chosen d = n + 1
         assert direct < sample_size(0.1, 0.1, vc_dimension_bound(3))

@@ -326,8 +326,15 @@ count_texts = st.one_of(
     st.text(alphabet="0123456789-+. ex", max_size=3))
 
 
+# reals as config text: ordinary, tiny, huge, non-finite and malformed values
+real_texts = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["1", "2", "3", "1.25", "0.5", "0", "-1", "1e-300", "1e308", "nan", "inf",
+                     "-inf", "NaN", "x", "", "1e400"]))
+
+
 @settings(SETTINGS, max_examples=80)
-@given(delta=st.sampled_from(["0", "0.001", "0.05", "1"]),
+@given(delta=st.one_of(st.sampled_from(["0", "0.001", "0.05", "1"]), real_texts),
        samples=st.one_of(st.none(), st.integers(-2, 14).map(str), st.sampled_from(["x", "1.5"])),
        seed=st.one_of(st.none(), seed_texts))
 def test_query_invocations_only_exit(cli_files, delta, samples, seed):
@@ -341,9 +348,13 @@ def test_query_invocations_only_exit(cli_files, delta, samples, seed):
 @settings(SETTINGS, max_examples=60)
 @given(trials=count_texts, threads=st.one_of(st.none(), valid_counts, count_texts),
        samples=st.sampled_from(["2", "5,12", "3,6", "0", "13", "x"]),
-       seed=st.one_of(st.none(), st.none(), seed_texts))
-def test_sweep_invocations_never_exit_1(cli_files, trials, threads, samples, seed):
-    config = CLI_SWEEP + f"samples = {samples}\ntrials = {trials}\n"
+       seed=st.one_of(st.none(), st.none(), seed_texts),
+       grid=st.one_of(st.none(), st.tuples(st.sampled_from(["eps", "delta"]),
+                                           st.lists(real_texts, min_size=1, max_size=3))))
+def test_sweep_invocations_never_exit_1(cli_files, trials, threads, samples, seed, grid):
+    config = CLI_SWEEP if grid is None else CLI_SWEEP.replace(
+        "eps = 0.2,0.4", f"{grid[0]} = {','.join(grid[1])}")
+    config += f"samples = {samples}\ntrials = {trials}\n"
     config += "" if threads is None else f"threads = {threads}\n"
     (cli_files / "sweep.cfg").write_text(config)
     args = ["sweep", "--config", cli_files / "sweep.cfg", "--data", cli_files / "data.csv",
@@ -356,13 +367,6 @@ def finite_json(text):
     def reject(constant):
         raise ValueError(f"{constant} is not valid JSON")
     return json.loads(text, parse_constant=reject)
-
-
-# reals as config text: ordinary, tiny, huge, non-finite and malformed values
-real_texts = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True).map(repr),
-    st.sampled_from(["1", "2", "3", "1.25", "0.5", "0", "-1", "1e-300", "1e308", "nan", "inf",
-                     "-inf", "NaN", "x", "", "1e400"]))
 
 
 @settings(SETTINGS, max_examples=40)
@@ -502,3 +506,5 @@ def test_tampered_potentials_rejected(pair):
             grid_flow(a, b, False)
         with pytest.raises(ConvergenceError, match="not certified"):
             wasserstein_nd(a, b, 2.0)
+        with pytest.raises(ConvergenceError, match="not certified"):
+            kantorovich_lp(*dense_problem(a, b))

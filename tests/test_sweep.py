@@ -177,6 +177,10 @@ class TestSweepConfig:
             small_config(sample_sizes=())
         with pytest.raises(ParameterError):
             small_config(eps_grid=(1.5,))
+        # ReferenceBand's rule; nan used to pass and fail only after the table was read
+        for delta in (math.nan, math.inf, -1e-3):
+            with pytest.raises(ParameterError, match="finite and non-negative"):
+                small_config(eps_grid=(), delta_grid=(0.01, delta))
 
 
 class TestWassersteinBaseline:
@@ -189,6 +193,10 @@ class TestWassersteinBaseline:
     def test_rejects_threshold_factor_not_finite_positive(self, factor):
         with pytest.raises(ParameterError, match="threshold_factor"):
             WassersteinBaseline(threshold_factor=factor)
+
+    def test_threshold_factor_is_required(self):
+        with pytest.raises(TypeError, match="threshold_factor"):
+            WassersteinBaseline(p=2.0)
 
 
 class TestRunSupnormSweep:
@@ -388,6 +396,12 @@ class TestRunWassersteinSweep:
         cfg = self.config(sample_sizes=(10**6,))
         with pytest.raises(BudgetError):
             run_wasserstein_sweep(cfg, flat_bin_ids(self.test_rows, self.scheme),
+                                  flat_bin_ids(self.ref_rows, self.scheme))
+
+    def test_requires_a_baseline(self):
+        with pytest.raises(ParameterError, match="baseline"):
+            run_wasserstein_sweep(self.config(baseline=None),
+                                  flat_bin_ids(self.test_rows, self.scheme),
                                   flat_bin_ids(self.ref_rows, self.scheme))
 
 

@@ -254,8 +254,9 @@ class TestWassersteinNd:
     def test_support_size_guard(self):
         g = self.grid()
         a = ProbabilityHistogram(g, {(0, 0): 0.5, (1, 1): 0.5})
-        with pytest.raises(SupportSizeError, match="entropic"):
-            wasserstein_nd(a, a, 2.0, method="exact", max_exact_entries=1)
+        with mock.patch.object(transport, "_MAX_EXACT_ENTRIES", 1):
+            with pytest.raises(SupportSizeError, match="entropic"):
+                wasserstein_nd(a, a, 2.0, method="exact")
 
     def test_entropic_route_close_on_tight_grid(self):
         g = self.grid()

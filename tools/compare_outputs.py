@@ -28,7 +28,11 @@ whose last rows are quoted with CRLF ends, read by `bin` and `sweep` too.
 Between them the CSV reader's numpy path, its `csv.reader` path and the
 switch from one to the other mid-table all run.
 The commands are `synth`, `bin`, exact and subsampled `query`,
-`sample-size`, `distance --method exact` and `sweep`.
+`sample-size`, `distance` (exact at p = 2 and p = 1, and entropic at two
+regularizations) and `sweep`.  The criterion-10 fixture's baseline sweep
+runs three times, so that every transport route runs inside a baseline:
+the grid flow (p = 2), the dense transportation LP (p = 1) and the
+quantile route (one feature, score in 40 bins).
 """
 
 import csv
@@ -100,7 +104,19 @@ def main(src: str, inputs_dir: str, out: str) -> None:
     for a, b, p in (("c10-fem.hist", "c10-all.hist", "2"), ("c10-fem.hist", "c10-all.hist", "1"),
                     ("c10-all.hist", "c10-all.hist", "2")):
         run("distance", "--a", O(a), "--b", O(b), "--p", p, "--method", "exact")
+    for reg in ("0.01", "0.001"):
+        run("distance", "--a", O("c10-fem.hist"), "--b", O("c10-all.hist"), "--p", "2",
+            "--method", "entropic", "--reg", reg)
     run("sweep", "--config", I("c10-sweep.cfg"), "--data", O("c10.csv"), "--out", O("c10-sweep.csv"))
+    # the baseline's other transport routes: the dense LP (p = 1 on two
+    # features) and the quantile route (one feature)
+    if fresh:
+        with open(I("c10-sweep.cfg"), encoding="utf-8") as fh:
+            c10_sweep = fh.read()
+        write("c10-sweep-p1.cfg", c10_sweep + "p = 1\n")
+        write("c10-sweep-1d.cfg", c10_sweep.replace(scheme, "feature.score = continuous:0:10:40\n"))
+    for cfg in ("c10-sweep-p1", "c10-sweep-1d"):
+        run("sweep", "--config", I(cfg + ".cfg"), "--data", O("c10.csv"), "--out", O(cfg + ".csv"))
 
     # subgroup-audit inputs
     if fresh:
