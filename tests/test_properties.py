@@ -3,8 +3,9 @@ histogram files, config text and CSV bytes only ever raise AuditError, the
 CSV reader agrees with binning `csv.DictReader` rows on both its paths,
 whole `query`, `sweep`, `sample-size` and `distance` invocations with fuzzed
 seeds, budgets and parameters only ever exit, and with 1 only on an
-"outside" verdict, and the p = 2 grid flow agrees with the dense
-transportation LP."""
+"outside" verdict, the p = 2 grid flow agrees with the dense
+transportation LP, `w2_bracket` brackets its optimum, and a baseline sweep
+that screens trials with it decides every trial as the exact route does."""
 
 import csv
 import io
@@ -19,7 +20,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subspace_audit import histogram, transport
+from subspace_audit import histogram, sweep, transport
 from subspace_audit.cli import main as cli
 from subspace_audit.config import parse_config
 from subspace_audit.errors import (AuditError, ConvergenceError, EmptyInputError,
@@ -29,7 +30,8 @@ from subspace_audit.histogram import (BinningScheme, FeatureSpec,
                                       RecordFilter, format_histogram,
                                       ingest_csv, parse_histogram,
                                       read_flat_ids)
-from subspace_audit.sweep import flat_bin_ids
+from subspace_audit.sweep import (SweepConfig, WassersteinBaseline, flat_bin_ids,
+                                  run_wasserstein_sweep)
 from subspace_audit.transport import kantorovich_lp, wasserstein_nd
 
 # Deterministic example sequences keep the suite reproducible.
@@ -388,6 +390,24 @@ def test_baseline_sweep_invocations_never_exit_1(cli_files, p, factor, method):
         assert math.isfinite(run["wasserstein"]["full_distance"])
 
 
+@pytest.mark.parametrize("factor, exit_code", [("1e308", 2), ("1e200", 0)])
+def test_huge_factor_turns_screening_off(cli_files, factor, exit_code):
+    # threshold_factor^2 overflows on both; the screened route must not
+    # raise for it, only the threshold itself may overflow (exit 2)
+    (cli_files / "huge.cfg").write_text(
+        CLI_SWEEP + "samples = 2,5\ntrials = 3\nbaseline = wasserstein\nbaseline_trials = 2\np = 2\n"
+        f"method = exact\nthreshold_factor = {factor}\n")
+    out = cli_files / "huge.csv"
+    result = invoke_cli(["sweep", "--config", cli_files / "huge.cfg",
+                         "--data", cli_files / "data.csv", "--out", out])
+    assert result.exit_code == exit_code, result.output
+    if exit_code == 0:
+        run = finite_json((cli_files / "huge.csv.manifest.json").read_text())["run"]
+        assert run["wasserstein"]["screened"] == 0
+    else:
+        assert "threshold_factor times the full-data distance overflows" in result.output
+
+
 @settings(SETTINGS, max_examples=60)
 @given(constant=real_texts,
        n_features=st.one_of(st.integers(1, 6), st.integers(1, 6),
@@ -508,3 +528,76 @@ def test_tampered_potentials_rejected(pair):
             wasserstein_nd(a, b, 2.0)
         with pytest.raises(ConvergenceError, match="not certified"):
             kantorovich_lp(*dense_problem(a, b))
+
+
+@SETTINGS
+@given(measure_pairs())
+def test_w2_bracket_contains_the_optimum(pair):
+    a, b = pair
+    cost = dense_problem(a, b)[2]
+    lower, upper = transport.w2_bracket(a, b)
+    squared = wasserstein_nd(a, b, 2.0) ** 2
+    tolerance = 1e-7 * max(1.0, cost.max())
+    assert lower - tolerance <= squared <= upper + tolerance
+    if a is b:
+        assert (lower, upper) == (0.0, 0.0)
+    if a.scheme.n_features == 1:
+        assert upper == pytest.approx(lower, rel=1e-12, abs=1e-15)
+
+
+@st.composite
+def baseline_tables(draw):
+    """A 1-4-feature scheme and the flat ids of a population's records and
+    of its subgroup's: the whole population, a single bin, or any subset."""
+    scheme = BinningScheme(tuple(draw(grid_features(f"f{k}"))
+                                 for k in range(draw(st.integers(1, 4)))))
+    bins = st.integers(0, scheme.total_bins - 1)
+    population = np.array(draw(st.lists(bins, min_size=2, max_size=60)))
+    kind = draw(st.sampled_from(["everyone", "one bin", "subset"]))
+    if kind == "one bin":
+        population[:] = population[0]
+    members = np.array(draw(st.lists(st.booleans(), min_size=population.size,
+                                     max_size=population.size)))
+    members[draw(st.integers(0, population.size - 1))] = True
+    group = population if kind == "everyone" else population[members]
+    sizes = draw(st.lists(st.integers(1, group.size), min_size=1, max_size=2, unique=True))
+    return scheme, group, population, tuple(sizes)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(baseline_tables(), st.integers(0, 8),
+       st.sampled_from([1.0, 1 - 1e-12, 1 + 1e-12, 1 - 1e-7, 1 + 1e-7, 1 - 1e-3, 1 + 1e-3,
+                        0.8, 1.25]))
+def test_screened_baseline_decides_like_the_exact_route(table, pick, jitter):
+    scheme, group, population, sizes = table
+
+    def run(factor):
+        config = SweepConfig(scheme=scheme, protected_column="SEX", subgroup_value="F",
+                             sample_sizes=sizes, trials=4, seed=7, eps_grid=(0.5,),
+                             baseline=WassersteinBaseline(threshold_factor=factor))
+        return run_wasserstein_sweep(config, (group, 0), (population, 0))
+
+    unbounded = mock.patch.object(sweep, "w2_bracket", lambda a, b: (-math.inf, math.inf))
+    # the distances the exact route computes: the full data's first, then the
+    # trials'; a factor of their ratio puts the threshold on a trial
+    distances = []
+
+    def recording(name):
+        route = getattr(sweep, name)
+
+        def record(*args, **kwargs):
+            distances.append(route(*args, **kwargs))
+            return distances[-1]
+        return mock.patch.object(sweep, name, record)
+
+    with unbounded, recording("wasserstein_1d"), recording("wasserstein_nd"):
+        run(1.0)
+    full, trial = distances[0], distances[1 + pick % (len(distances) - 1)]
+    factor = (trial / full if full > 0 and trial > 0 else 1.0) * jitter
+    with unbounded:
+        exact = run(factor)
+    screened = run(factor)
+    assert screened.to_csv() == exact.to_csv()
+    for key in ("full_distance", "threshold", "full_inside"):
+        assert screened.metadata[key] == exact.metadata[key]
+    assert exact.metadata["screened"] == 0

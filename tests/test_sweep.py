@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from subspace_audit import sweep
 from subspace_audit.datasets import synthetic_two_group
 from subspace_audit.errors import (BudgetError, EmptyInputError,
                                    ParameterError, SchemaError)
@@ -375,8 +377,8 @@ class TestRunWassersteinSweep:
                                   flat_bin_ids(self.ref_rows, self.scheme))
         assert a.rows == b.rows
 
-    def test_thread_count_changes_nothing(self):
-        # two features send every solve through the transport LP on the pool
+    def two_feature_sweep(self, threads=1, trials=12, **route):
+        """A 12-trial baseline at s = 20 and 80 on a 6 x 5 grid."""
         scheme = BinningScheme((FeatureSpec.continuous("x", 0, 1, 6),
                                 FeatureSpec.continuous("y", 0, 1, 5)))
         rng = np.random.default_rng(17)
@@ -384,13 +386,50 @@ class TestRunWassersteinSweep:
                  "x": f"{rng.beta(2, 3 if female else 2):.6f}", "y": f"{rng.random():.6f}"}
                 for female in rng.random(1500) < 0.4]
         test_rows, ref_rows = subgroup_split(rows, "SEX", "Female")
-        results = [run_wasserstein_sweep(
-            self.config(scheme=scheme, sample_sizes=(20, 80), threads=threads,
-                        baseline=WassersteinBaseline(threshold_factor=1.25, trials=12)),
+        baseline = WassersteinBaseline(threshold_factor=1.25, trials=trials, **route)
+        return run_wasserstein_sweep(
+            self.config(scheme=scheme, sample_sizes=(20, 80), threads=threads, baseline=baseline),
             flat_bin_ids(test_rows, scheme), flat_bin_ids(ref_rows, scheme))
-            for threads in (1, 2, 4)]
+
+    def assert_thread_count_changes_nothing(self):
+        results = [self.two_feature_sweep(threads) for threads in (1, 2, 4)]
         assert len({r.to_csv() for r in results}) == 1
         assert results[0].metadata == results[1].metadata == results[2].metadata
+        return results[0].metadata["screened"]
+
+    def test_thread_count_changes_nothing(self):
+        # two features send the trials the bracket leaves open through the
+        # transport flow on the pool
+        assert self.assert_thread_count_changes_nothing() > 0
+
+    def test_thread_count_changes_nothing_when_every_trial_is_solved(self):
+        # an unbounded bracket decides nothing, so all 24 trials are solved
+        # concurrently on the pool
+        with mock.patch.object(sweep, "w2_bracket", lambda a, b: (-math.inf, math.inf)):
+            assert self.assert_thread_count_changes_nothing() == 0
+
+    def test_screening_decides_like_the_exact_route(self):
+        # an unbounded bracket decides nothing, so every trial is solved
+        screened = self.two_feature_sweep()
+        with mock.patch.object(sweep, "w2_bracket", lambda a, b: (-math.inf, math.inf)):
+            exact = self.two_feature_sweep()
+        assert 0 < screened.metadata["screened"] < 24
+        assert screened.to_csv() == exact.to_csv()
+        assert screened.metadata == {**exact.metadata, "screened": screened.metadata["screened"]}
+        assert exact.metadata["screened"] == 0
+
+    @pytest.mark.parametrize("route", [{"p": 1.0}, {"method": "entropic"}])
+    def test_only_exact_w2_is_screened(self, route):
+        with mock.patch.object(sweep, "w2_bracket", side_effect=AssertionError):
+            result = self.two_feature_sweep(**route, trials=2)
+        assert result.metadata["screened"] == 0
+
+    def test_one_feature_is_not_screened(self):
+        cfg = self.config(baseline=WassersteinBaseline(threshold_factor=1.25, trials=4))
+        with mock.patch.object(sweep, "w2_bracket", side_effect=AssertionError):
+            result = run_wasserstein_sweep(cfg, flat_bin_ids(self.test_rows, self.scheme),
+                                           flat_bin_ids(self.ref_rows, self.scheme))
+        assert result.metadata["screened"] == 0
 
     def test_oversized_sample_rejected(self):
         cfg = self.config(sample_sizes=(10**6,))

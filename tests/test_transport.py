@@ -1,17 +1,20 @@
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from subspace_audit import transport
+from subspace_audit.datasets import synthetic_two_group
 from subspace_audit.errors import (AlignmentError, ConvergenceError,
                                    ParameterError, SupportSizeError)
 from subspace_audit.histogram import (BinningScheme, FeatureSpec,
                                       ProbabilityHistogram)
-from subspace_audit.transport import (kantorovich_lp, sinkhorn, wasserstein_1d,
-                                      wasserstein_nd)
+from subspace_audit.sweep import flat_bin_ids, measure_from_flats
+from subspace_audit.transport import (kantorovich_lp, sinkhorn, w2_bracket,
+                                      wasserstein_1d, wasserstein_nd)
 
 
 def line_scheme(bins, lower=0.0, upper=None):
@@ -300,3 +303,61 @@ class TestWassersteinNd:
             assert dense.call_count == 0
             wasserstein_nd(full, full, 1.0)  # p != 2
             assert dense.call_count == 1
+
+
+class TestW2Bracket:
+    def grid(self, n0=2, n1=2):
+        return BinningScheme((FeatureSpec.continuous("x", -0.5, n0 - 0.5, n0),
+                              FeatureSpec.continuous("y", -0.5, n1 - 0.5, n1)))
+
+    def test_point_masses_are_exact(self):
+        scheme = self.grid()
+        a = ProbabilityHistogram(scheme, {(0, 0): 1.0})
+        b = ProbabilityHistogram(scheme, {(1, 1): 1.0})
+        assert w2_bracket(a, b) == (2.0, 2.0)
+
+    def test_equal_marginals_leave_a_gap(self):
+        # the marginals agree, so the lower bound is 0; each atom must move
+        # by 1 along one axis, which the Knothe-Rosenblatt coupling does
+        scheme = self.grid()
+        a = ProbabilityHistogram(scheme, {(0, 0): 0.5, (1, 1): 0.5})
+        b = ProbabilityHistogram(scheme, {(0, 1): 0.5, (1, 0): 0.5})
+        assert w2_bracket(a, b) == (0.0, pytest.approx(1.0))
+        assert wasserstein_nd(a, b, 2.0) ** 2 == pytest.approx(1.0)
+
+    def test_one_feature_matches_the_quantile_route(self):
+        scheme = line_scheme(6)
+        a = line_measure(scheme, [0.1, 0.0, 0.3, 0.2, 0.0, 0.4])
+        b = line_measure(scheme, [0.0, 0.5, 0.0, 0.0, 0.25, 0.25])
+        lower, upper = w2_bracket(a, b)
+        assert lower == pytest.approx(wasserstein_1d(a, b, 2.0) ** 2, rel=1e-12)
+        assert upper == pytest.approx(lower, rel=1e-12)
+
+    def test_rejects_mismatched_or_empty_input(self):
+        a = ProbabilityHistogram(self.grid(), {(0, 0): 1.0})
+        with pytest.raises(AlignmentError):
+            w2_bracket(a, ProbabilityHistogram(self.grid(3, 2), {(0, 0): 1.0}))
+        with pytest.raises(ParameterError, match="non-empty support"):
+            w2_bracket(a, ProbabilityHistogram(self.grid(), {(0, 1): 0.0}))
+
+    def test_criterion_9_shaped_data_warns_of_nothing(self):
+        # Stored zero-mass bins must never be paired: a coupling built from
+        # cumulative sums over them divides by a zero conditional mass.
+        scheme = BinningScheme((FeatureSpec.continuous("score", 0.0, 10.0, 20),
+                                FeatureSpec.continuous("age", 18.0, 80.0, 25)))
+        rows = synthetic_two_group(20_000, seed=987_654_321)
+        group = flat_bin_ids([r for r in rows if r["SEX"] == "Female"], scheme)[0]
+        reference = measure_from_flats(flat_bin_ids(rows, scheme)[0], scheme)
+        rng = np.random.default_rng(20250401)
+        measures = [measure_from_flats(group, scheme)] + [
+            measure_from_flats(group[rng.permutation(group.size)[:size]], scheme)
+            for size in (50, 100, 200, 400) for _ in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for measure in measures:
+                dense = np.zeros(scheme.total_bins)
+                dense[measure.flats] = measure.values
+                stored = ProbabilityHistogram.from_flats(scheme, np.arange(dense.size), dense)
+                bracket = w2_bracket(measure, reference)
+                assert w2_bracket(stored, reference) == bracket
+                assert all(map(math.isfinite, bracket)) and bracket[0] <= bracket[1]

@@ -16,7 +16,10 @@ Two source trees produce the same results when
     python tools/compare_outputs.py src inputs out-new
     diff -r out-old out-new
 
-prints nothing.  The inputs are the criterion-10 fixture of the acceptance
+prints nothing.  Against a tree from before baseline screening, the one
+intended difference is the manifest key `run.wasserstein.screened` (the
+number of baseline trials that `transport.w2_bracket` decided without a
+flow solve).  The inputs are the criterion-10 fixture of the acceptance
 tests (`synth --rows 4000 --seed 33`, its scheme and its sweep config with
 the transport baseline), those of the three benchmark workloads at seed 1,
 a messy table (blank lines, short and long rows, unparsable values, a
@@ -30,9 +33,11 @@ switch from one to the other mid-table all run.
 The commands are `synth`, `bin`, exact and subsampled `query`,
 `sample-size`, `distance` (exact at p = 2 and p = 1, and entropic at two
 regularizations) and `sweep`.  The criterion-10 fixture's baseline sweep
-runs three times, so that every transport route runs inside a baseline:
+runs four times, so that every transport route runs inside a baseline:
 the grid flow (p = 2), the dense transportation LP (p = 1) and the
-quantile route (one feature, score in 40 bins).
+quantile route (one feature, score in 40 bins).  The fourth run puts the
+threshold (factor 1.07, samples 20 and 40) inside the W2 bracket of one
+trial, which is solved, while the bracket decides the other fifteen.
 """
 
 import csv
@@ -108,14 +113,18 @@ def main(src: str, inputs_dir: str, out: str) -> None:
         run("distance", "--a", O("c10-fem.hist"), "--b", O("c10-all.hist"), "--p", "2",
             "--method", "entropic", "--reg", reg)
     run("sweep", "--config", I("c10-sweep.cfg"), "--data", O("c10.csv"), "--out", O("c10-sweep.csv"))
-    # the baseline's other transport routes: the dense LP (p = 1 on two
-    # features) and the quantile route (one feature)
+    # the baseline's other transport routes, the dense LP (p = 1 on two
+    # features) and the quantile route (one feature), and the grid flow with
+    # the threshold close to the trial distances, where some trials are
+    # screened by their W2 bracket and the others are solved
     if fresh:
         with open(I("c10-sweep.cfg"), encoding="utf-8") as fh:
             c10_sweep = fh.read()
         write("c10-sweep-p1.cfg", c10_sweep + "p = 1\n")
         write("c10-sweep-1d.cfg", c10_sweep.replace(scheme, "feature.score = continuous:0:10:40\n"))
-    for cfg in ("c10-sweep-p1", "c10-sweep-1d"):
+        write("c10-sweep-near.cfg", c10_sweep.replace("samples = 5,20", "samples = 20,40")
+              .replace("threshold_factor = 1.25", "threshold_factor = 1.07"))
+    for cfg in ("c10-sweep-p1", "c10-sweep-1d", "c10-sweep-near"):
         run("sweep", "--config", I(cfg + ".cfg"), "--data", O("c10.csv"), "--out", O(cfg + ".csv"))
 
     # subgroup-audit inputs
