@@ -18,6 +18,9 @@ from .histogram import BinningScheme, FeatureSpec
 from .sweep import SweepConfig, WassersteinBaseline
 
 _FEATURE_PREFIX = "feature."
+# Every key `sweep_config_from` reads, whatever the baseline.
+_SWEEP_KEYS = {"protected", "subgroup", "samples", "trials", "seed", "eps", "delta", "threads",
+               "baseline", "p", "threshold_factor", "method", "baseline_trials"}
 
 
 def parse_config(text: str) -> dict[str, str]:
@@ -74,8 +77,11 @@ def sweep_config_from(cfg: dict[str, str], scheme: BinningScheme, *,
 
     `seed`, `threads`, and `baseline` override the file when not None; a seed
     must come from one of the two sources.  `baseline = wasserstein` needs
-    `threshold_factor`.
+    `threshold_factor`.  Any other key but `feature.*` raises SchemaError.
     """
+    unknown = [k for k in cfg if k not in _SWEEP_KEYS and not k.startswith(_FEATURE_PREFIX)]
+    if unknown:
+        raise SchemaError(f"unknown sweep config key(s): {', '.join(unknown)}")
     eps_grid = _get(cfg, "eps", _listed(float), [])
     delta_grid = _get(cfg, "delta", _listed(float), [])
     if seed is None:

@@ -6,9 +6,10 @@ query and baseline in this package consumes.  The product grid grows
 multiplicatively with each added feature while real tables occupy a small
 fraction of it, so a histogram stores only its occupied bins, as two arrays:
 the sorted, unique row-major flat bin ids (`flats`, int64) and one count or
-mass per id (`values`).  Tuple-keyed views (`counts`, `masses`) are built on
-request.  `read_flat_ids` is the one CSV reader: `ingest_csv` counts its
-flat bin ids into a histogram, and the sweep turns them into measures.
+mass per id (`values`), the one read path (`gather` looks values up by id);
+tuple-keyed constructors are an input convenience.  `read_flat_ids` is the
+one CSV reader: `ingest_csv` counts its flat bin ids into a histogram, and
+the sweep turns them into measures.
 
 The reader takes the table in blocks of about `_BLOCK_BYTES` characters,
 each cut at a line end, so its memory stays flat in the table size.  A
@@ -91,11 +92,6 @@ class FeatureSpec:
     def bin_count(self) -> int:
         return self.bins if self.kind == "continuous" else len(self.categories)
 
-    def bin_of(self, raw: str | None) -> int | None:
-        """Bin index for a raw CSV value, or None when missing/unparsable."""
-        idx = int(self.bin_column([raw])[0])
-        return None if idx < 0 else idx
-
     def bin_column(self, raws: Sequence[str | None]) -> np.ndarray:
         """Bin index (int64) per raw CSV value; -1 where missing or unparsable.
 
@@ -164,14 +160,6 @@ class BinningScheme:
     @property
     def total_bins(self) -> int:
         return math.prod(self.shape)
-
-    def validate_index(self, idx: Index) -> None:
-        """Raise IndexError unless `idx` is a multi-index of this grid."""
-        self.flat_ids([tuple(idx)])
-
-    def flatten(self, idx: Index) -> int:
-        """Row-major flat id of a multi-index."""
-        return int(self.flat_ids([tuple(idx)])[0])
 
     def unflatten(self, flat: int) -> Index:
         """Multi-index of a row-major flat id (mixed-radix decoding)."""
@@ -247,16 +235,6 @@ class _SparseHistogram:
         for name, value in (("scheme", scheme), ("flats", flats), ("values", values)):
             object.__setattr__(self, name, value)
 
-    def _mapping(self) -> dict:
-        return dict(zip(self.scheme.indices(self.flats), self.values.tolist()))
-
-    def _value(self, idx: Index):
-        try:
-            at = self.scheme.flat_ids([tuple(idx)])
-        except IndexError:
-            at = np.array([-1])  # off the grid, so never stored
-        return gather(self.flats, self.values, at).item()
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class JointHistogram(_SparseHistogram):
@@ -283,9 +261,6 @@ class JointHistogram(_SparseHistogram):
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "skipped", skipped)
 
-    counts = property(_SparseHistogram._mapping, doc="{multi-index: count}, built on access.")
-    count = _SparseHistogram._value  # count(idx) -> int, zero off the support
-
 
 class ProbabilityHistogram(_SparseHistogram):
     """Non-negative masses over the joint grid; absent indices mean zero.
@@ -295,9 +270,6 @@ class ProbabilityHistogram(_SparseHistogram):
 
     def __init__(self, scheme: BinningScheme, masses: Mapping[Index, float]):
         self._store(scheme, scheme.flat_ids(list(masses)), list(masses.values()))
-
-    masses = property(_SparseHistogram._mapping, doc="{multi-index: mass}, built on access.")
-    mass = _SparseHistogram._value  # mass(idx) -> float, zero off the support
 
     def total_mass(self) -> float:
         return math.fsum(self.values.tolist())

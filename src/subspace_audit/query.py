@@ -11,9 +11,10 @@ directly.
 
 Bin samples are keyed by seed: the sample for seed S is the first draw of
 `Generator(Philox(key=S))`, so a seed is any integer in [0, 2**128) and
-names one counter-based stream (Salmon et al., SC 2011).  `KeyedSampler`
-draws them for queries and Monte-Carlo trials alike, and each draw costs
-O(sample size) at any grid size (`sample_flat_indices`).
+names one counter-based stream (Salmon et al., SC 2011).  `keyed_sample`
+draws them for queries and Monte-Carlo trials alike, from one generator per
+thread, and each draw costs O(sample size) at any grid size
+(`sample_flat_indices`).
 
 Every per-bin difference comes from one kernel, `support_differences`, which
 works on the histograms' flat-id arrays: the union of the two supports and
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,11 +59,10 @@ class ViolationReport:
     """Full-scan violation accounting for one (test, band) pair.
 
     `flats` lists the stored violating bins (difference >= delta) in flat-id
-    order and `excess` their excess difference - delta; `violations` maps
-    each such bin's multi-index to its excess, built on request.  Bins
-    outside the stored support of both measures are counted only in
-    `count_k`: they can violate only when delta == 0, in which case each
-    contributes an excess of exactly zero.
+    order and `excess` their excess difference - delta.  Bins outside the
+    stored support of both measures are counted only in `count_k`: they can
+    violate only when delta == 0, in which case each contributes an excess
+    of exactly zero.
     """
 
     scheme: BinningScheme
@@ -71,10 +72,6 @@ class ViolationReport:
     total_bins: int
     fraction: float
     sup_norm: float
-
-    @property
-    def violations(self) -> dict[Index, float]:
-        return dict(zip(self.scheme.indices(self.flats), self.excess.tolist()))
 
     def outcome(self) -> QueryOutcome:
         """Exact verdict; the witness is the violating bin first in index order."""
@@ -92,29 +89,22 @@ class QueryOutcome:
     `witness` names a genuinely violated bin whenever `inside` is False.
     Subsampled verdicts also record the seed, the sampled flat bin ids in
     draw order (`sampled_flats`) and their differences |test - base|
-    (`sampled_diffs`), so a run can be replayed exactly; `sampled_bins`
-    gives the sampled multi-indices, built on request.  Outcomes compare
-    equal when verdict, witness, seed and sampled bins agree.
+    (`sampled_diffs`), so a run can be replayed exactly.  Outcomes compare
+    equal when verdict, witness, seed and sampled flat ids agree.
     """
 
     inside: bool
     witness: Index | None = None
     seed: int | None = None
-    scheme: BinningScheme | None = None
     sampled_flats: np.ndarray | None = None
     sampled_diffs: np.ndarray | None = None
-
-    @property
-    def sampled_bins(self) -> tuple[Index, ...] | None:
-        if self.sampled_flats is None:
-            return None
-        return self.scheme.indices(self.sampled_flats)
 
     def __eq__(self, other):
         if not isinstance(other, QueryOutcome):
             return NotImplemented
-        return ((self.inside, self.witness, self.seed, self.sampled_bins)
-                == (other.inside, other.witness, other.seed, other.sampled_bins))
+        key = lambda o: (o.inside, o.witness, o.seed,
+                         None if o.sampled_flats is None else o.sampled_flats.tolist())
+        return key(self) == key(other)
 
 
 @lru_cache(maxsize=4)
@@ -182,31 +172,28 @@ def sample_flat_indices(n_total: int, size: int, rng: np.random.Generator) -> np
     return rng.choice(n_total, size, replace=False)
 
 
-class KeyedSampler:
-    """Bin samples keyed by seed.
+_THREAD = threading.local()  # `pair`: this thread's (Philox, Generator)
 
-    `sampler(n_total, size, seed)` equals
-    `sample_flat_indices(n_total, size, Generator(Philox(key=seed)))`.  One
-    Philox generator is reset through its public state to key `seed`,
-    counter 0 and an empty buffer for each draw, about a sixth of the cost
-    of building a new one.  Not thread-safe: give each thread its own.
-    """
 
-    def __init__(self):
-        self._bits = np.random.Philox(key=0)
-        self._rng = np.random.Generator(self._bits)
-
-    def __call__(self, n_total: int, size: int, seed: int) -> np.ndarray:
-        seed = operator.index(seed)
-        if not 0 <= seed < _SEED_LIMIT:
-            raise ParameterError(f"seed {seed} outside [0, 2**128)")
-        self._bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _ZERO4,
-                      "key": np.array([seed & _LOW64, seed >> 64], dtype=np.uint64)},
-            "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-        return sample_flat_indices(n_total, size, self._rng)
+def keyed_sample(n_total: int, size: int, seed: int) -> np.ndarray:
+    """`sample_flat_indices(n_total, size, Generator(Philox(key=seed)))`, seed
+    in [0, 2**128), drawn by the calling thread's generator: it is reset to
+    key `seed`, counter 0 and an empty buffer through its public state, about
+    a sixth of the cost of building a new one."""
+    seed = operator.index(seed)
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ParameterError(f"seed {seed} outside [0, 2**128)")
+    try:
+        bits, rng = _THREAD.pair
+    except AttributeError:  # the thread's first draw
+        bits = np.random.Philox(key=0)
+        rng = np.random.Generator(bits)
+        _THREAD.pair = bits, rng
+    bits.state = {"bit_generator": "Philox", "buffer": _ZERO4, "buffer_pos": 4,
+                  "has_uint32": 0, "uinteger": 0,
+                  "state": {"counter": _ZERO4,
+                            "key": np.array([seed & _LOW64, seed >> 64], dtype=np.uint64)}}
+    return sample_flat_indices(n_total, size, rng)
 
 
 def subsampled_query(test: ProbabilityHistogram, band: ReferenceBand,
@@ -221,12 +208,12 @@ def subsampled_query(test: ProbabilityHistogram, band: ReferenceBand,
     lie in [0, 2**128).  The witness is the first violating bin in draw order.
     """
     support, diffs = support_differences(test, band.base)
-    flats = KeyedSampler()(test.scheme.total_bins, size, seed)
+    flats = keyed_sample(test.scheme.total_bins, size, seed)
     sampled = gather(support, diffs, flats)
     hits = np.flatnonzero(sampled >= band.delta)
     witness = test.scheme.unflatten(int(flats[hits[0]])) if hits.size else None
     return QueryOutcome(inside=hits.size == 0, witness=witness, seed=seed,
-                        scheme=test.scheme, sampled_flats=flats, sampled_diffs=sampled)
+                        sampled_flats=flats, sampled_diffs=sampled)
 
 
 def verdict_record(outcome: QueryOutcome, delta: float,

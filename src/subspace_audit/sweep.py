@@ -7,18 +7,19 @@ rate of one-sided errors next to the exact hypergeometric rate.  A
 record-subsampling Wasserstein decision protocol provides the comparison
 baseline curve; its threshold factor has no default.  `SweepConfig` checks
 the grids when it is built, before any table is read: explicit half-widths
-follow `ReferenceBand`'s rule (finite and non-negative).  Both sweeps count measures from flat bin ids binned once
-(`histogram.read_flat_ids`, or `flat_bin_ids` for in-memory rows), and each
-cell's violation mask is scattered from the violating ids of
-`query.violation_report`.
+follow `ReferenceBand`'s rule (finite and non-negative), and the binning
+grid holds at most `_MAX_SWEEP_BINS` bins.  Both sweeps count measures from
+flat bin ids binned once (`histogram.read_flat_ids`, or `flat_bin_ids` for
+in-memory rows), and each cell's violation mask is scattered from the
+violating ids of `query.violation_report`.
 
 Every trial seed is derived from the master seed and the trial's cell by
 `SeedSequence` hashing, so trials can run in any order and results are
 bit-identical across reruns.  A sup-norm cell draws all its trial seeds at
-once (`trial_seeds`), and trial t checks the `KeyedSampler` draw keyed by
-the cell's t-th seed: the very bins that `query --samples s --seed <that
-seed>` checks.  The baseline's record subsamples keep one `trial_seed` and
-a `default_rng` permutation per trial.
+once (`trial_seeds`), and trial t checks the `query.keyed_sample` draw
+keyed by the cell's t-th seed: the very bins that `query --samples s
+--seed <that seed>` checks.  The baseline's record subsamples keep one
+`trial_seed` and a `default_rng` permutation per trial.
 The sup-norm trials run serially: they hold the GIL, so threads only slow
 them down.  The baseline's full-data distance is always solved exactly.
 Its trials run on a pool of `SweepConfig.threads` workers, because the
@@ -45,7 +46,7 @@ from .errors import (AlignmentError, BudgetError, EmptyInputError,
                      ParameterError, SchemaError)
 from .histogram import BinningScheme, ProbabilityHistogram, format_histogram
 from .pac import analytic_false_positive
-from .query import (KeyedSampler, ReferenceBand, support_differences,
+from .query import (ReferenceBand, keyed_sample, support_differences,
                     violation_report)
 from .transport import _CERT_TOL, w2_bracket, wasserstein_1d, wasserstein_nd
 
@@ -54,6 +55,9 @@ CSV_HEADER = "eps,delta,s,empirical_error,analytic_error,stderr,trials"
 # Relative widening of the screening bracket, far above the rounding of the
 # bounds and of the threshold; a wider one costs solves, not decisions.
 _SCREEN_MARGIN = 1e-6
+
+# Largest sweep grid: `violation_mask` holds one byte per bin (1 GiB here).
+_MAX_SWEEP_BINS = 1 << 30
 
 # Seed stream tags keep the sup-norm cells and the baseline cells disjoint.
 _SUPNORM_STREAM = 0
@@ -165,6 +169,8 @@ class SweepConfig:
             raise ParameterError("seed must be non-negative")
         if self.threads < 1:
             raise ParameterError("threads must be at least 1")
+        if self.scheme.total_bins > _MAX_SWEEP_BINS:
+            raise ParameterError(f"{self.scheme.total_bins}-bin grid: a sweep takes 2**30 at most")
 
 
 @dataclass(frozen=True)
@@ -221,8 +227,7 @@ def violation_mask(test: ProbabilityHistogram, band: ReferenceBand) -> np.ndarra
 
 def _empirical_rate(mask: np.ndarray, n_total: int, size: int, trials: int,
                     master_seed: int, cell_path: tuple[int, ...]) -> float:
-    sample = KeyedSampler()
-    misses = sum(not mask[sample(n_total, size, seed)].any()
+    misses = sum(not mask[keyed_sample(n_total, size, seed)].any()
                  for seed in trial_seeds(master_seed, cell_path, trials).tolist())
     return misses / trials
 

@@ -204,6 +204,30 @@ class TestMalformedInput:
         assert result.exit_code == 2, result.output
         assert "threads" in result.output
 
+    @pytest.mark.parametrize("typo", ["baseline_trial = 2", "thread = 2"])
+    def test_misspelled_sweep_key_exit_2_naming_the_key(self, workspace, typo):
+        runner, root = workspace
+        (root / "typo.cfg").write_text(SWEEP_CFG + typo + "\n")
+        result = run(runner, ["sweep", "--config", root / "typo.cfg",
+                              "--data", root / "data.csv", "--out", root / "o.csv"])
+        assert result.exit_code == 2, result.output
+        assert f"unknown sweep config key(s): {typo.split()[0]}" in result.output
+        assert not (root / "o.csv").exists()
+        # `bin` reads only the feature lines, so the file is still a scheme config
+        assert run(runner, ["bin", "--data", root / "data.csv", "--config", root / "typo.cfg",
+                            "--out", root / "all.hist"]).exit_code == 0
+
+    def test_sweep_refuses_a_2_40_bin_grid(self, workspace):
+        runner, root = workspace
+        # 8 features x 32 bins: the dense violation mask would need 1 TiB
+        features = "".join(f"feature.f{i} = continuous:0:1:32\n" for i in range(8))
+        (root / "huge.cfg").write_text(features + SWEEP_CFG[len(SCHEME_CFG):])
+        result = run(runner, ["sweep", "--config", root / "huge.cfg",
+                              "--data", root / "data.csv", "--out", root / "o.csv"])
+        assert result.exit_code == 2, result.output
+        assert "2**30" in result.output and str(2**40) in result.output
+        assert not (root / "o.csv").exists()
+
     @pytest.mark.parametrize("command", ["bin", "sweep"])
     def test_csv_syntax_error_exit_2_naming_the_file(self, workspace, command):
         runner, root = workspace

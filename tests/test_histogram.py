@@ -8,7 +8,8 @@ from subspace_audit.errors import EmptyInputError, ParameterError, SchemaError
 from subspace_audit.histogram import (BinningScheme, FeatureSpec,
                                       JointHistogram, ProbabilityHistogram,
                                       RecordFilter, format_histogram,
-                                      ingest_csv, normalize, parse_histogram)
+                                      gather, ingest_csv, normalize,
+                                      parse_histogram)
 from subspace_audit.sweep import flat_bin_ids
 
 
@@ -19,30 +20,23 @@ def scheme_1d(bins=10, lower=1.0, upper=11.0):
 class TestFeatureSpec:
     def test_continuous_binning_rule(self):
         f = FeatureSpec.continuous("score", 1, 11, 10)
-        assert [f.bin_of(v) for v in ("1", "5", "10")] == [0, 4, 9]
+        assert f.bin_column(["1", "5", "10"]).tolist() == [0, 4, 9]
 
     def test_upper_boundary_maps_to_last_bin(self):
         f = FeatureSpec.continuous("score", 0, 10, 5)
-        assert f.bin_of("10") == 4
+        assert f.bin_column(["10"]).tolist() == [4]
 
     def test_out_of_range_clamps(self):
         f = FeatureSpec.continuous("score", 0, 10, 5)
-        assert f.bin_of("-3") == 0
-        assert f.bin_of("99") == 4
+        assert f.bin_column(["-3", "99"]).tolist() == [0, 4]
 
     def test_missing_and_unparsable(self):
         f = FeatureSpec.continuous("score", 0, 10, 5)
-        assert f.bin_of(None) is None
-        assert f.bin_of("") is None
-        assert f.bin_of("  ") is None
-        assert f.bin_of("abc") is None
-        assert f.bin_of("nan") is None
+        assert f.bin_column([None, "", "  ", "abc", "nan"]).tolist() == [-1] * 5
 
     def test_categorical(self):
         f = FeatureSpec.categorical("sex", ["F", "M"])
-        assert f.bin_of("F") == 0
-        assert f.bin_of("M") == 1
-        assert f.bin_of("X") is None
+        assert f.bin_column(["F", "M", "X"]).tolist() == [0, 1, -1]
         assert f.bin_count == 2
         assert f.centers() == (0.0, 1.0)
 
@@ -72,15 +66,20 @@ class TestBinningScheme:
         s = BinningScheme((FeatureSpec.continuous("a", 0, 1, 3),
                            FeatureSpec.continuous("b", 0, 1, 5),
                            FeatureSpec.continuous("c", 0, 1, 2)))
-        for flat in range(s.total_bins):
-            assert s.flatten(s.unflatten(flat)) == flat
+        flats = np.arange(s.total_bins)
+        assert s.flat_ids(s.indices(flats)).tolist() == flats.tolist()
+        for flat in flats.tolist():
+            assert s.flat_ids([s.unflatten(flat)]).tolist() == [flat]
 
     def test_flatten_matches_numpy_convention(self):
         s = BinningScheme((FeatureSpec.continuous("a", 0, 1, 3),
                            FeatureSpec.continuous("b", 0, 1, 5)))
-        for idx in ((0, 0), (1, 4), (2, 3)):
-            assert s.flatten(idx) == int(np.ravel_multi_index(idx, s.shape))
-            assert s.unflatten(s.flatten(idx)) == idx
+        idxs = [(0, 0), (1, 4), (2, 3)]
+        flats = s.flat_ids(idxs)
+        assert flats.dtype == np.int64
+        assert flats.tolist() == [int(np.ravel_multi_index(idx, s.shape)) for idx in idxs]
+        assert [s.unflatten(flat) for flat in flats.tolist()] == idxs
+        assert s.indices(flats) == tuple(idxs)
 
     def test_compatibility_is_field_by_field(self):
         a = scheme_1d()
@@ -91,10 +90,11 @@ class TestBinningScheme:
 
     def test_index_validation(self):
         s = scheme_1d(bins=3)
+        for bad in ((3,), (-1,), (0, 0)):
+            with pytest.raises(IndexError):
+                s.flat_ids([bad])
         with pytest.raises(IndexError):
-            s.validate_index((3,))
-        with pytest.raises(IndexError):
-            s.validate_index((0, 0))
+            JointHistogram(s, {(3,): 1}, total=1)
 
 
 CSV = "score,SEX\n1,F\n5,M\n10,F\n"
@@ -103,7 +103,8 @@ CSV = "score,SEX\n1,F\n5,M\n10,F\n"
 class TestIngestCsv:
     def test_binning_example(self):
         h = ingest_csv(io.StringIO(CSV), scheme_1d())
-        assert dict(h.counts) == {(0,): 1, (4,): 1, (9,): 1}
+        assert h.flats.tolist() == [0, 4, 9]
+        assert h.values.tolist() == [1, 1, 1]
         assert h.total == 3
         assert h.skipped == 0
 
@@ -152,20 +153,22 @@ class TestIngestCsv:
         part_f = ingest_csv(io.StringIO(text), scheme_1d(), RecordFilter("SEX", "F"))
         part_m = ingest_csv(io.StringIO(text), scheme_1d(), RecordFilter("SEX", "F", negate=True))
         assert part_f.total + part_m.total == whole.total
-        for idx in whole.counts:
-            assert part_f.count(idx) + part_m.count(idx) == whole.count(idx)
+        assert np.union1d(part_f.flats, part_m.flats).tolist() == whole.flats.tolist()
+        assert np.array_equal(gather(part_f.flats, part_f.values, whole.flats)
+                              + gather(part_m.flats, part_m.values, whole.flats), whole.values)
 
     def test_determinism(self):
         h1 = ingest_csv(io.StringIO(CSV), scheme_1d())
         h2 = ingest_csv(io.StringIO(CSV), scheme_1d())
-        assert h1.counts == h2.counts and h1.total == h2.total
+        assert np.array_equal(h1.flats, h2.flats) and np.array_equal(h1.values, h2.values)
+        assert h1.total == h2.total
 
 
 class TestNormalize:
     def test_symmetric_counts(self):
         s = scheme_1d(bins=2, lower=0, upper=2)
         m = normalize(JointHistogram(s, {(0,): 2, (1,): 2}, total=4))
-        assert m.masses == {(0,): 0.5, (1,): 0.5}
+        assert m.flats.tolist() == [0, 1] and m.values.tolist() == [0.5, 0.5]
 
     def test_counts_proportional_sum_to_one(self):
         counts = [1440, 941, 771, 667, 616, 586, 569, 540, 479, 383]
@@ -173,13 +176,13 @@ class TestNormalize:
         h = JointHistogram(s, {(i,): c for i, c in enumerate(counts)}, total=sum(counts))
         m = normalize(h)
         assert math.isclose(m.total_mass(), 1.0, abs_tol=1e-12 * 10)
-        for i, c in enumerate(counts):
-            assert m.mass((i,)) == c / sum(counts)
+        assert m.flats.tolist() == list(range(10))
+        assert m.values.tolist() == [c / sum(counts) for c in counts]
 
     def test_point_mass(self):
         s = scheme_1d(bins=3, lower=0, upper=3)
         m = normalize(JointHistogram(s, {(2,): 4}, total=4))
-        assert m.masses == {(2,): 1.0}
+        assert m.flats.tolist() == [2] and m.values.tolist() == [1.0]
 
     def test_zero_total_rejected(self):
         s = scheme_1d(bins=3, lower=0, upper=3)
@@ -195,7 +198,7 @@ class TestNormalize:
             counts = {(int(i),): int(rng.integers(1, 100)) for i in occupied}
             m = normalize(JointHistogram(s, counts, total=sum(counts.values())))
             assert abs(m.total_mass() - 1.0) <= 1e-12 * s.total_bins
-            assert all(0.0 <= v <= 1.0 for v in m.masses.values())
+            assert np.all((0.0 <= m.values) & (m.values <= 1.0))
 
 
 # a two-feature counts header with no total line: the total is the sum of the bins
@@ -210,7 +213,8 @@ class TestFileFormat:
         h = ingest_csv(io.StringIO(CSV), scheme_1d())
         again = parse_histogram(format_histogram(h))
         assert isinstance(again, JointHistogram)
-        assert again.counts == h.counts
+        assert np.array_equal(again.flats, h.flats) and np.array_equal(again.values, h.values)
+        assert again.values.dtype == np.int64
         assert again.total == h.total and again.skipped == h.skipped
         assert again.scheme == h.scheme
 
@@ -218,14 +222,16 @@ class TestFileFormat:
         m = normalize(ingest_csv(io.StringIO(CSV), scheme_1d()))
         again = parse_histogram(format_histogram(m))
         assert isinstance(again, ProbabilityHistogram)
-        assert again.masses == m.masses
+        assert np.array_equal(again.flats, m.flats) and np.array_equal(again.values, m.values)
 
     def test_categorical_roundtrip(self):
         s = BinningScheme((FeatureSpec.categorical("sex", ["Female", "Male"]),
                            FeatureSpec.continuous("age", 18, 80, 4)))
         h = JointHistogram(s, {(0, 1): 3, (1, 2): 5}, total=8, skipped=1)
         again = parse_histogram(format_histogram(h))
-        assert again.scheme == s and again.counts == h.counts and again.skipped == 1
+        assert again.scheme == s and again.skipped == 1
+        assert again.flats.tolist() == s.flat_ids([(0, 1), (1, 2)]).tolist()
+        assert again.values.tolist() == [3, 5]
 
     def test_serialization_is_sorted_and_stable(self):
         s = scheme_1d(bins=3, lower=0, upper=3)
@@ -263,7 +269,7 @@ def test_flat_bin_ids_joint_index():
     s = BinningScheme((FeatureSpec.continuous("score", 0, 10, 5),
                        FeatureSpec.categorical("sex", ["F", "M"])))
     flats, dropped = flat_bin_ids([{"score": "3.0", "sex": "M"}], s)
-    assert flats.tolist() == [s.flatten((1, 1))] and dropped == 0
+    assert flats.tolist() == s.flat_ids([(1, 1)]).tolist() and dropped == 0
     for unusable in ({"score": "x", "sex": "M"}, {"score": "3.0"}):
         flats, dropped = flat_bin_ids([unusable], s)
         assert flats.size == 0 and dropped == 1

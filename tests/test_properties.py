@@ -75,11 +75,10 @@ def test_format_parse_roundtrip(hist):
     again = parse_histogram(format_histogram(hist))
     assert type(again) is type(hist)
     assert again.scheme == hist.scheme
+    assert np.array_equal(again.flats, hist.flats)
+    assert np.array_equal(again.values, hist.values) and again.values.dtype == hist.values.dtype
     if isinstance(hist, JointHistogram):
-        assert again.counts == hist.counts
         assert (again.total, again.skipped) == (hist.total, hist.skipped)
-    else:
-        assert again.masses == hist.masses
 
 
 def reference_bin(feature, raw):
@@ -118,7 +117,8 @@ def test_column_binner_matches_scalar_rule(case):
     feature, raws = case
     expected = [reference_bin(feature, raw) for raw in raws]
     assert [None if b < 0 else b for b in feature.bin_column(raws).tolist()] == expected
-    assert [feature.bin_of(raw) for raw in raws] == expected
+    assert [feature.bin_column([raw]).item() for raw in raws] == [
+        -1 if b is None else b for b in expected]
 
 
 def only_audit_errors(fn, *args):

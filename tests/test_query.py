@@ -1,11 +1,13 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from subspace_audit.errors import AlignmentError, BudgetError, ParameterError
 from subspace_audit.histogram import (BinningScheme, FeatureSpec,
-                                      ProbabilityHistogram)
-from subspace_audit.query import (KeyedSampler, ReferenceBand, exact_query,
+                                      ProbabilityHistogram, gather)
+from subspace_audit.query import (ReferenceBand, exact_query, keyed_sample,
                                   sample_flat_indices, subsampled_query,
                                   support_differences, verdict_record,
                                   violation_report)
@@ -22,6 +24,17 @@ def measure(scheme, values):
 S3 = line_scheme(3)
 BASE = measure(S3, [0.5, 0.3, 0.2])
 TEST = measure(S3, [0.4, 0.4, 0.2])
+
+
+def mass_at(hist, idx):
+    """The mass a histogram stores at one multi-index; zero off its support."""
+    return float(gather(hist.flats, hist.values, hist.scheme.flat_ids([idx]))[0])
+
+
+def fresh_philox_draw(n, s, seed):
+    """The bins keyed by `seed`, drawn from a newly built Philox generator."""
+    fresh = np.random.Generator(np.random.Philox(key=seed))
+    return fresh.permutation(n)[:s] if 2 * s > n else fresh.choice(n, s, replace=False)
 
 
 def random_pair(rng, max_bins=64):
@@ -74,7 +87,7 @@ class TestExactQuery:
             delta = float(rng.random() * 0.3)
             out = exact_query(test, ReferenceBand(base, delta))
             if not out.inside:
-                assert abs(test.mass(out.witness) - base.mass(out.witness)) >= delta
+                assert abs(mass_at(test, out.witness) - mass_at(base, out.witness)) >= delta
 
     def test_empty_bins_participate_at_delta_zero(self):
         scheme = line_scheme(4)
@@ -96,7 +109,8 @@ class TestViolationReport:
     def test_identical_delta_zero(self):
         rep = violation_report(BASE, ReferenceBand(BASE, 0.0))
         assert rep.count_k == 3 and rep.fraction == 1.0
-        assert all(v == 0.0 for v in rep.violations.values())
+        assert rep.flats.tolist() == [0, 1, 2]
+        assert rep.excess.tolist() == [0.0, 0.0, 0.0]
         assert rep.sup_norm == 0.0
 
     def test_worked_example(self):
@@ -104,9 +118,8 @@ class TestViolationReport:
         assert rep.count_k == 2
         assert rep.fraction == pytest.approx(2 / 3)
         assert rep.sup_norm == pytest.approx(0.1)
-        assert rep.violations[(0,)] == pytest.approx(0.05)
-        assert rep.violations[(1,)] == pytest.approx(0.05)
-        assert (2,) not in rep.violations
+        assert rep.flats.tolist() == [0, 1]  # bin 2 agrees exactly
+        assert rep.excess.tolist() == pytest.approx([0.05, 0.05])
 
     def test_point_mass_vs_uniform(self):
         s = line_scheme(10)
@@ -215,19 +228,40 @@ class TestKeyedSampler:
     # (n, s) pairs on both branches: 2 s > n permutes, otherwise choice
     SHAPES = [(500, 400), (2**21, 64), (10, 3), (10_000, 6_593), (100_000, 500), (40, 20)]
 
+    SEEDS = (0, 5, 2**64 - 1, 2**64, 2**128 - 1)
+
     def test_reused_sampler_matches_fresh_philox(self):
-        sample = KeyedSampler()
         for n, s in self.SHAPES:
-            for seed in (0, 5, 2**64 - 1, 2**64, 2**128 - 1):
-                fresh = np.random.Generator(np.random.Philox(key=seed))
-                expected = (fresh.permutation(n)[:s] if 2 * s > n
-                            else fresh.choice(n, s, replace=False))
-                assert np.array_equal(sample(n, s, seed), expected), (n, s, seed)
+            for seed in self.SEEDS:
+                expected = fresh_philox_draw(n, s, seed)
+                assert np.array_equal(keyed_sample(n, s, seed), expected), (n, s, seed)
+
+    def test_interleaved_threads_match_fresh_philox(self):
+        """Two threads alternate draws through the shared function; each
+        thread's generator is its own, so every draw is the keyed one."""
+        turns = [threading.Semaphore(1), threading.Semaphore(0)]
+        draws = [[], []]
+
+        def worker(me):
+            for n, s in self.SHAPES:
+                for seed in self.SEEDS[me::2] + self.SEEDS[1 - me::2]:
+                    turns[me].acquire()
+                    draws[me].append(((n, s, seed), keyed_sample(n, s, seed)))
+                    turns[1 - me].release()
+
+        threads = [threading.Thread(target=worker, args=(i,), daemon=True) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert [len(d) for d in draws] == [len(self.SHAPES) * len(self.SEEDS)] * 2
+        for (n, s, seed), got in draws[0] + draws[1]:
+            assert np.array_equal(got, fresh_philox_draw(n, s, seed)), (n, s, seed)
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_outside_key_range(self, seed):
         with pytest.raises(ParameterError):
-            KeyedSampler()(10, 3, seed)
+            keyed_sample(10, 3, seed)
         with pytest.raises(ParameterError):
             subsampled_query(TEST, ReferenceBand(BASE, 0.05), 2, seed)
 
@@ -236,8 +270,7 @@ class TestKeyedSampler:
         """First-order (each bin) and second-order (bins 2k and 2k + 1 together)
         inclusion counts over keyed draws against their uniform expectations."""
         trials, groups = 20_000, 25
-        sample = KeyedSampler()
-        draws = np.stack([sample(n, s, seed) for seed in range(trials)])
+        draws = np.stack([keyed_sample(n, s, seed) for seed in range(trials)])
         assert all(np.unique(row).size == s for row in draws[:100])
         p = s / n
         counts = np.bincount(draws.ravel(), minlength=n)
@@ -284,7 +317,7 @@ class TestSubsampledQuery:
             if not out.inside:
                 rejected += 1
                 assert not exact_query(test, band).inside
-                assert abs(test.mass(out.witness) - base.mass(out.witness)) >= delta
+                assert abs(mass_at(test, out.witness) - mass_at(base, out.witness)) >= delta
         assert rejected > 0
 
     def test_hypergeometric_rate_n10_k1_s3(self):
@@ -304,6 +337,10 @@ class TestSubsampledQuery:
         a = subsampled_query(TEST, band, 2, seed=123)
         b = subsampled_query(TEST, band, 2, seed=123)
         assert a == b
+        assert np.array_equal(a.sampled_flats, keyed_sample(3, 2, 123))
+        wide = ReferenceBand(BASE, 0.5)  # same verdict, witness and seed, other bins
+        assert (subsampled_query(TEST, wide, 2, seed=123)
+                != subsampled_query(TEST, wide, 3, seed=123))
 
     def test_budget_validation(self):
         band = ReferenceBand(BASE, 0.05)
@@ -318,7 +355,7 @@ class TestSubsampledQuery:
         m = ProbabilityHistogram(scheme, {(0, 0): 1.0})
         out = subsampled_query(m, ReferenceBand(m, 0.5), size=12, seed=0)
         assert out.inside
-        assert sorted(out.sampled_bins) == sorted(
+        assert sorted(scheme.indices(out.sampled_flats)) == sorted(
             (i, j) for i in range(3) for j in range(4))
 
 

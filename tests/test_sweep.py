@@ -184,6 +184,15 @@ class TestSweepConfig:
             with pytest.raises(ParameterError, match="finite and non-negative"):
                 small_config(eps_grid=(), delta_grid=(0.01, delta))
 
+    def test_refuses_grids_over_the_mask_limit(self):
+        def grid(*bins):
+            return BinningScheme(tuple(FeatureSpec.continuous(f"f{i}", 0, 1, b)
+                                       for i, b in enumerate(bins)))
+        assert small_config(scheme=grid(2**15, 2**15)).scheme.total_bins == 2**30
+        for too_big in (grid(2**15 + 1, 2**15), grid(*[32] * 8)):
+            with pytest.raises(ParameterError, match="2\\*\\*30"):
+                small_config(scheme=too_big)
+
 
 class TestWassersteinBaseline:
     @pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
@@ -281,8 +290,8 @@ class TestRunSupnormSweep:
         grid = BinningScheme((FeatureSpec.continuous("a", 0, 1, 10),
                               FeatureSpec.continuous("b", 0, 1, 5)))
         flat = self.test.scheme
-        remap = lambda m: ProbabilityHistogram(
-            grid, {grid.unflatten(flat.flatten(idx)): v for idx, v in m.masses.items()})
+        assert grid.total_bins == self.test.scheme.total_bins
+        remap = lambda m: ProbabilityHistogram.from_flats(grid, m.flats, m.values)
         cfg_flat = small_config(delta_grid=(0.004,), eps_grid=())
         cfg_grid = small_config(scheme=grid, delta_grid=(0.004,), eps_grid=())
         rows_flat = run_supnorm_sweep(cfg_flat, self.test, self.reference).rows
@@ -367,7 +376,11 @@ class TestRunWassersteinSweep:
         assert result.metadata["full_inside"] is True
         errors = [row.empirical_error for row in result.rows]
         assert errors[-1] <= errors[0]
-        assert errors[-1] < 0.05
+        # At s = 1500 the error count is Binomial(150, p) with p about 0.05
+        # (0.052 averaged over 61 master seeds): allow p plus four binomial
+        # standard errors at 150 trials, about 0.12.
+        p = 0.05
+        assert errors[-1] <= p + 4 * math.sqrt(p * (1 - p) / 150)
 
     def test_reproducible(self):
         cfg = self.config(baseline=WassersteinBaseline(threshold_factor=1.25, trials=30))
@@ -450,8 +463,8 @@ class TestMeasureFromRecords:
         records = [{"x": "0.1"}, {"x": "0.1"}, {"x": "0.9"}, {"x": "bad"}]
         m, dropped = measure_from_records(records, scheme)
         assert dropped == 1
-        assert m.mass((0,)) == pytest.approx(2 / 3)
-        assert m.mass((3,)) == pytest.approx(1 / 3)
+        assert m.flats.tolist() == [0, 3]
+        assert m.values.tolist() == pytest.approx([2 / 3, 1 / 3])
 
 
 def test_synthetic_dataset_is_deterministic_and_two_group():

@@ -16,12 +16,14 @@ Two source trees produce the same results when
     python tools/compare_outputs.py src inputs out-new
     diff -r out-old out-new
 
-prints nothing.  Against a tree from before baseline screening, the one
-intended difference is the manifest key `run.wasserstein.screened` (the
-number of baseline trials that `transport.w2_bracket` decided without a
-flow solve).  The inputs are the criterion-10 fixture of the acceptance
-tests (`synth --rows 4000 --seed 33`, its scheme and its sweep config with
-the transport baseline), those of the three benchmark workloads at seed 1,
+prints nothing.  Two `sweep` commands must be refused with exit 2 before
+any table is read: a config with a misspelled key (`baseline_trial`) and a
+2**40-bin grid (8 features x 32 bins).  Their `--out` lies in OUT/refused,
+which is deleted at the end, so against a tree that still ran them the only
+difference is their exit codes in `log.txt` (0 and 4 there).  The inputs
+are the criterion-10 fixture of the acceptance tests (`synth --rows 4000
+--seed 33`, its scheme and its sweep config with the transport baseline),
+those of the three benchmark workloads at seed 1,
 a messy table (blank lines, short and long rows, unparsable values, a
 duplicated header column) that `bin` reads with and without a filter and
 `sweep` reads with the baseline, also for a subgroup no row has, a quoted
@@ -44,6 +46,7 @@ import csv
 import json
 import os
 import random
+import shutil
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -126,6 +129,25 @@ def main(src: str, inputs_dir: str, out: str) -> None:
               .replace("threshold_factor = 1.25", "threshold_factor = 1.07"))
     for cfg in ("c10-sweep-p1", "c10-sweep-1d", "c10-sweep-near"):
         run("sweep", "--config", I(cfg + ".cfg"), "--data", O("c10.csv"), "--out", O(cfg + ".csv"))
+
+    # refused before any table is read: a misspelled sweep key, and a grid
+    # whose dense violation mask would need 1 TiB
+    if fresh:
+        write("c10-typo.cfg", c10_sweep.replace("baseline_trials", "baseline_trial"))
+        wide = [f"f{i}" for i in range(8)]
+        rng = random.Random(SEED)
+        write("wide.csv", ",".join(["SEX"] + wide) + "\n" + "".join(
+            ",".join([rng.choice(["Female", "Male"])] + [f"{rng.random():.3f}" for _ in wide])
+            + "\n" for _ in range(40)))
+        write("wide-sweep.cfg", "".join(f"feature.{f} = continuous:0:1:32\n" for f in wide)
+              + "protected = SEX\nsubgroup = Female\neps = 0.2\nsamples = 5\ntrials = 10\n"
+              "seed = 3\n")
+    os.makedirs(O("refused"), exist_ok=True)
+    run("sweep", "--config", I("c10-typo.cfg"), "--data", O("c10.csv"),
+        "--out", O(os.path.join("refused", "c10-typo.csv")))
+    run("sweep", "--config", I("wide-sweep.cfg"), "--data", I("wide.csv"),
+        "--out", O(os.path.join("refused", "wide.csv")))
+    shutil.rmtree(O("refused"), ignore_errors=True)
 
     # subgroup-audit inputs
     if fresh:
