@@ -243,8 +243,8 @@ def cmd_distance(path_a, path_b, p, method, reg):
 
 
 @main.command("synth")
-@click.option("--rows", type=int, default=120_000, show_default=True)
-@click.option("--seed", type=int, default=987_654_321, show_default=True)
+@click.option("--rows", type=click.IntRange(min=0), default=120_000, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=987_654_321, show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_synth(rows, seed, out):
     """Write the bundled synthetic two-group CSV (deterministic in rows/seed)."""

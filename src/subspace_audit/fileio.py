@@ -4,13 +4,16 @@ import hashlib
 import os
 import tempfile
 
-from .errors import SchemaError
+from .errors import ParameterError, SchemaError
 
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write-to-temp then rename, so failures never leave a partial file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".partial-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".partial-")
+    except OSError as exc:  # a missing or unwritable directory: name the file asked for
+        raise ParameterError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

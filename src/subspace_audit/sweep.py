@@ -21,14 +21,13 @@ keyed by the cell's t-th seed: the very bins that `query --samples s
 --seed <that seed>` checks.  The baseline's record subsamples keep one
 `trial_seed` and a `default_rng` permutation per trial.
 The sup-norm trials run serially: they hold the GIL, so threads only slow
-them down.  The baseline's full-data distance is always solved exactly.
-Its trials run on a pool of `SweepConfig.threads` workers, because the
-solver releases the GIL, and are reduced in (sample size, trial) order, so
-the thread count changes no result.  For exact W2 on two or more features a
-trial is first screened with `transport.w2_bracket`: when its bounds on W2^2
-lie wholly on one side of the threshold's, the decision needs no solve.
-Only the trials the bracket cannot decide, and every trial of the other
-routes, are solved.
+them down.  The baseline first solves its full-data distance exactly, which
+fixes the threshold.  Its trials run on a pool of `SweepConfig.threads`
+workers, because the solver releases the GIL, and are reduced in (sample
+size, trial) order, so the thread count changes no result.  For exact W2 on
+two or more features a trial is first screened with `transport.w2_bracket`:
+when its bounds on W2^2 lie wholly on one side of the squared threshold,
+widened once, the decision needs no solve.  The other trials are solved.
 """
 
 from __future__ import annotations
@@ -359,16 +358,14 @@ def run_wasserstein_sweep(config: SweepConfig, test: tuple[np.ndarray, int],
     decision.  Per-trial decisions are Bernoulli, so the stderr column
     doubles as the standard-deviation band.  `config.baseline` must be set.
 
-    The full-data distance is always solved exactly.  For exact W2 on two
-    or more features a trial needs only the side of the threshold it falls
-    on: `w2_bracket` of the full data, times threshold_factor^2 and widened
-    for rounding and solver accuracy (`_screen_bounds`), brackets the
-    squared threshold before the full solve returns, and a trial whose own
-    bracket lies wholly below or above it is decided without a solve.  Other trials, and every trial of the
-    other routes, are solved exactly.  The full-data solve and the trials
-    share one pool of `config.threads` workers; the result does not depend
-    on that count, and `screened` in the metadata counts the trials decided
-    without a solve.
+    The full-data distance is solved exactly first, and a threshold that
+    overflows is refused before any trial is drawn.  For exact W2 on two or
+    more features a trial whose `w2_bracket` lies wholly below or above the
+    squared threshold, widened for rounding and solver accuracy
+    (`_screen_bounds`), is decided without a solve.  Other trials are solved
+    exactly on a pool of `config.threads` workers; the result does not
+    depend on that count, and `screened` in the metadata counts the trials
+    decided without a solve.
     """
     baseline = config.baseline
     if baseline is None:
@@ -384,48 +381,42 @@ def run_wasserstein_sweep(config: SweepConfig, test: tuple[np.ndarray, int],
     distance = _distance_fn(scheme, baseline)
     trials = baseline.trials if baseline.trials is not None else config.trials
 
-    screen = None  # bounds (t_lo, t_hi) on the squared threshold, when screening
+    w_full = distance(full_test, ref_measure)
+    threshold = baseline.threshold_factor * w_full
+    if threshold == math.inf:
+        raise ParameterError("threshold_factor times the full-data distance overflows")
+    full_inside = w_full < threshold
+    screen = (_screen_bounds(scheme, threshold) if baseline.method == "exact"
+              and baseline.p == 2 and scheme.n_features >= 2 else None)
 
-    def subsample_decision(s_idx: int, size: int, trial: int) -> bool | float:
-        """The trial's inside decision, or its distance when the bracket
-        cannot decide it."""
+    def decide(s_idx: int, size: int, trial: int) -> tuple[bool, bool]:
+        """(inside, screened) of one trial."""
         rng = np.random.default_rng(trial_seed(config.seed, _BASELINE_STREAM, s_idx, trial))
         measure = measure_from_flats(test_flats[rng.permutation(group)[:size]], scheme)
         if screen is not None:
-            t_lo, t_hi = screen
             lower, upper = w2_bracket(measure, ref_measure)
             if math.isfinite(lower) and math.isfinite(upper):
-                if upper < t_lo:
-                    return True
-                if lower > t_hi:
-                    return False
-        return distance(measure, ref_measure)
+                if upper < screen[0]:
+                    return True, True
+                if lower > screen[1]:
+                    return False, True
+        return distance(measure, ref_measure) < threshold, False
 
     # The solver releases the GIL, so the solves overlap; results are read
     # back in (size, trial) order, which keeps the output schedule-free.
     pool = ThreadPoolExecutor(max_workers=config.threads)
     try:
-        full = pool.submit(distance, full_test, ref_measure)
-        if baseline.method == "exact" and baseline.p == 2 and scheme.n_features >= 2:
-            screen = _screen_bounds(full_test, ref_measure, baseline.threshold_factor)
-        solves = [[pool.submit(subsample_decision, s_idx, size, trial) for trial in range(trials)]
-                  for s_idx, size in enumerate(config.sample_sizes)]
-        w_full = full.result()
-        cells = [[solve.result() for solve in row] for row in solves]
+        decisions = [[pool.submit(decide, s_idx, size, trial) for trial in range(trials)]
+                     for s_idx, size in enumerate(config.sample_sizes)]
+        cells = [[decision.result() for decision in row] for row in decisions]
     finally:
         pool.shutdown(cancel_futures=True)
-    threshold = baseline.threshold_factor * w_full
-    if threshold == math.inf:
-        raise ParameterError("threshold_factor times the full-data distance overflows")
-    full_inside = w_full < threshold
 
     rows: list[SweepRow] = []
     screened = 0
     for size, results in zip(config.sample_sizes, cells):
-        screened += sum(isinstance(r, bool) for r in results)
-        errors = sum((r if isinstance(r, bool) else r < threshold) != full_inside
-                     for r in results)
-        rate = errors / trials
+        screened += sum(by_bracket for _, by_bracket in results)
+        rate = sum(inside != full_inside for inside, _ in results) / trials
         stderr = math.sqrt(rate * (1.0 - rate) / trials)
         rows.append(SweepRow(eps=math.nan, delta=math.nan, samples=size,
                              empirical_error=rate, analytic_error=math.nan,
@@ -452,26 +443,22 @@ def run_wasserstein_sweep(config: SweepConfig, test: tuple[np.ndarray, int],
     return SweepResult(rows=tuple(rows), metadata=metadata)
 
 
-def _screen_bounds(test: ProbabilityHistogram, reference: ProbabilityHistogram,
-                   factor: float) -> tuple[float, float] | None:
+def _screen_bounds(scheme: BinningScheme, threshold: float) -> tuple[float, float] | None:
     """Bounds (t_lo, t_hi) on a trial's W2^2 bracket that decide the trial.
 
-    A solved W2^2 is taken to lie within `slack`, the certificate's
-    per-arc tolerance times the grid's largest ground cost, of the exact
-    one.  A trial whose upper bound is below t_lo is then inside, and one
-    whose lower bound is above t_hi outside, for the solved distances as
-    for the exact ones.  None when the bounds are not finite: a grid whose
-    squared diameter overflows is not bracketed at all.
+    The squared threshold is widened once: by a relative margin for the
+    rounding of the bounds and of the threshold, and by `slack`, the
+    certificate's per-arc tolerance times the grid's largest ground cost,
+    within which a solved W2^2 is taken to lie of the exact one.  A trial
+    whose upper bound is below t_lo then solves inside, and one whose lower
+    bound is above t_hi outside.  None when a bound is not finite.
     """
-    spans = [max(c) - min(c) for c in (f.centers() for f in test.scheme.features)]
+    spans = [max(c) - min(c) for c in (f.centers() for f in scheme.features)]
     slack = _CERT_TOL * max(1.0, sum(span * span for span in spans))
-    if not math.isfinite(slack):
-        return None
-    lower, upper = w2_bracket(test, reference)
-    # product, not **, so that a huge factor overflows to inf, not an error
-    squared = factor * factor
-    bounds = (squared * (lower - slack) * (1.0 - _SCREEN_MARGIN) - slack,
-              squared * (upper + slack) * (1.0 + _SCREEN_MARGIN) + slack)
+    # product, not **, so that a huge threshold overflows to inf, not an error
+    squared = threshold * threshold
+    bounds = (squared * (1.0 - _SCREEN_MARGIN) - slack,
+              squared * (1.0 + _SCREEN_MARGIN) + slack)
     return bounds if all(map(math.isfinite, bounds)) else None
 
 

@@ -514,3 +514,28 @@ class TestSynth:
             assert run(runner, ["synth", "--rows", "500", "--seed", "5",
                                 "--out", tmp_path / name]).exit_code == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("option", ["--rows", "--seed"])
+    def test_negative_value_is_a_usage_error(self, tmp_path, option):
+        # numpy raised on either (exit 4, "internal error")
+        result = run(CliRunner(), ["synth", option, "-1", "--out", tmp_path / "x.csv"])
+        assert result.exit_code == 2, result.output
+        assert option in result.output and "internal error" not in result.output
+        assert not (tmp_path / "x.csv").exists()
+
+
+class TestOutDirectory:
+    @pytest.mark.parametrize("command, args", [
+        ("bin", ["--data", "data.csv", "--config", "scheme.cfg"]),
+        ("synth", ["--rows", "10"]),
+        ("sweep", ["--data", "data.csv", "--config", "sweep.cfg"]),
+    ])
+    def test_missing_directory_exit_2_names_out(self, workspace, command, args):
+        # the temp file's FileNotFoundError surfaced as an internal error (exit 4)
+        runner, root = workspace
+        out = root / "missing" / "x.out"
+        result = run(runner, [command, *(root / a if a.endswith((".csv", ".cfg")) else a
+                                         for a in args), "--out", out])
+        assert result.exit_code == 2, result.output
+        assert f"cannot write {out}" in result.output
+        assert ".partial-" not in result.output and not (root / "missing").exists()

@@ -456,6 +456,16 @@ class TestRunWassersteinSweep:
                                   flat_bin_ids(self.test_rows, self.scheme),
                                   flat_bin_ids(self.ref_rows, self.scheme))
 
+    def test_overflowing_threshold_is_refused_before_any_trial(self):
+        # the full-data W2 is 50 here, so 1e308 times it overflows; the
+        # threshold is fixed before a trial's seed is ever drawn
+        scheme = BinningScheme((FeatureSpec.continuous("x", 0, 100, 4),))
+        cfg = self.config(scheme=scheme, sample_sizes=(2,),
+                          baseline=WassersteinBaseline(threshold_factor=1e308, trials=4))
+        with mock.patch.object(sweep, "trial_seed", side_effect=AssertionError), \
+                pytest.raises(ParameterError, match="full-data distance overflows"):
+            run_wasserstein_sweep(cfg, (np.array([0, 0, 0]), 0), (np.array([2, 2]), 0))
+
 
 class TestMeasureFromRecords:
     def test_counts_match_manual_binning(self):

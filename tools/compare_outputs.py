@@ -18,9 +18,12 @@ Two source trees produce the same results when
 
 prints nothing.  Two `sweep` commands must be refused with exit 2 before
 any table is read: a config with a misspelled key (`baseline_trial`) and a
-2**40-bin grid (8 features x 32 bins).  Their `--out` lies in OUT/refused,
-which is deleted at the end, so against a tree that still ran them the only
-difference is their exit codes in `log.txt` (0 and 4 there).  The inputs
+2**40-bin grid (8 features x 32 bins).  So must `synth --rows -1` and a
+`bin` whose `--out` lies in a missing directory (OUT/missing).  The other
+refusals write into OUT/refused, which is deleted at the end, so against a
+tree that still ran them the only difference is their exit codes in
+`log.txt` (0 or 4 there).  `log.txt` shows the paths of OUT and INPUTS as
+`OUT` and `IN` in the arguments that begin with them.  The inputs
 are the criterion-10 fixture of the acceptance tests (`synth --rows 4000
 --seed 33`, its scheme and its sweep config with the transport baseline),
 those of the three benchmark workloads at seed 1,
@@ -78,13 +81,20 @@ def main(src: str, inputs_dir: str, out: str) -> None:
         with open(I(name), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
+    def short(arg):
+        for path, name in ((out, "OUT"), (inputs_dir, "IN")):
+            if arg == path or arg.startswith(os.path.join(path, "")):
+                return name + arg[len(path):]
+        return arg
+
     def run(*args):
         args = [str(a) for a in args]
         result = runner.invoke(cli, args)
         if result.exception is not None and not isinstance(result.exception, SystemExit):
             raise result.exception
-        shown = " ".join(a.replace(out, "OUT").replace(inputs_dir, "IN") for a in args)
-        log.write(f"$ {shown}\nexit={result.exit_code}\n{result.stdout.replace(out, 'OUT')}")
+        shown = " ".join(short(a) for a in args)
+        stdout = result.stdout.replace(os.path.join(out, ""), os.path.join("OUT", ""))
+        log.write(f"$ {shown}\nexit={result.exit_code}\n{stdout}")
 
     # criterion-10 fixture
     scheme = "feature.score = continuous:0:10:8\nfeature.age = continuous:18:80:5\n"
@@ -147,6 +157,10 @@ def main(src: str, inputs_dir: str, out: str) -> None:
         "--out", O(os.path.join("refused", "c10-typo.csv")))
     run("sweep", "--config", I("wide-sweep.cfg"), "--data", I("wide.csv"),
         "--out", O(os.path.join("refused", "wide.csv")))
+    # refused too: a negative row count, and an --out in a missing directory
+    run("synth", "--rows", -1, "--out", O(os.path.join("refused", "negative.csv")))
+    run("bin", "--data", O("c10.csv"), "--config", I("c10-scheme.cfg"),
+        "--out", O(os.path.join("missing", "x.hist")))
     shutil.rmtree(O("refused"), ignore_errors=True)
 
     # subgroup-audit inputs
