@@ -12,9 +12,11 @@ directly.
 Bin samples are keyed by seed: the sample for seed S is the first draw of
 `Generator(Philox(key=S))`, so a seed is any integer in [0, 2**128) and
 names one counter-based stream (Salmon et al., SC 2011).  `keyed_sample`
-draws them for queries and Monte-Carlo trials alike, from one generator per
-thread, and each draw costs O(sample size) at any grid size
-(`sample_flat_indices`).
+draws them for queries, from one generator per thread, and each draw costs
+O(sample size) at any grid size (`sample_flat_indices`).  Monte-Carlo trials
+ask only whether a keyed sample meets a set of bins; `keyed_misses` answers
+that for many seeds at once, replaying numpy's Floyd draws from the raw
+Philox words where it can and drawing with `keyed_sample` where it cannot.
 
 Every per-bin difference comes from one kernel, `support_differences`, which
 works on the histograms' flat-id arrays: the union of the two supports and
@@ -38,8 +40,14 @@ from .errors import AlignmentError, BudgetError, ParameterError
 from .histogram import BinningScheme, Index, ProbabilityHistogram, gather
 
 _SEED_LIMIT = 1 << 128  # seeds are Philox keys
+_LOW32 = (1 << 32) - 1
 _LOW64 = (1 << 64) - 1
-_ZERO4 = np.zeros(4, dtype=np.uint64)
+_ZERO4 = [0, 0, 0, 0]
+# numpy's `choice(replace=False)` runs Floyd's algorithm on grids up to this
+# many bins, and on larger ones for samples of at most a fiftieth of the grid
+_FLOYD_BINS = 10_000
+# entries per array of one `keyed_misses` chunk, which bounds its memory
+_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -165,35 +173,118 @@ def sample_flat_indices(n_total: int, size: int, rng: np.random.Generator) -> np
     sample exceeds a fiftieth of a grid over 10 000 bins.  Floyd's hash set
     crowds as `size` nears `n_total`, hence the permutation above half.
     """
-    if not 1 <= size <= n_total:
-        raise BudgetError(f"sample size {size} outside [1, {n_total}]")
+    _check_size(n_total, size)
     if 2 * size > n_total:
         return rng.permutation(n_total)[:size]
     return rng.choice(n_total, size, replace=False)
 
 
+def _check_size(n_total: int, size: int) -> None:
+    if not 1 <= size <= n_total:
+        raise BudgetError(f"sample size {size} outside [1, {n_total}]")
+
+
 _THREAD = threading.local()  # `pair`: this thread's (Philox, Generator)
+
+
+def _thread_pair() -> tuple[np.random.Philox, np.random.Generator]:
+    """The calling thread's (Philox, Generator), built on its first draw."""
+    try:
+        return _THREAD.pair
+    except AttributeError:
+        bits = np.random.Philox(key=0)
+        _THREAD.pair = bits, np.random.Generator(bits)
+        return _THREAD.pair
+
+
+def _reset(bits: np.random.Philox, seed: int) -> None:
+    """Reset `bits` to key `seed` in [0, 2**128), counter 0 and an empty
+    buffer through its public state, about a sixth of the cost of building
+    a new generator."""
+    bits.state = {"bit_generator": "Philox", "buffer": _ZERO4, "buffer_pos": 4,
+                  "has_uint32": 0, "uinteger": 0,
+                  "state": {"counter": _ZERO4, "key": [seed & _LOW64, seed >> 64]}}
 
 
 def keyed_sample(n_total: int, size: int, seed: int) -> np.ndarray:
     """`sample_flat_indices(n_total, size, Generator(Philox(key=seed)))`, seed
-    in [0, 2**128), drawn by the calling thread's generator: it is reset to
-    key `seed`, counter 0 and an empty buffer through its public state, about
-    a sixth of the cost of building a new one."""
+    in [0, 2**128), drawn by the calling thread's generator."""
     seed = operator.index(seed)
     if not 0 <= seed < _SEED_LIMIT:
         raise ParameterError(f"seed {seed} outside [0, 2**128)")
-    try:
-        bits, rng = _THREAD.pair
-    except AttributeError:  # the thread's first draw
-        bits = np.random.Philox(key=0)
-        rng = np.random.Generator(bits)
-        _THREAD.pair = bits, rng
-    bits.state = {"bit_generator": "Philox", "buffer": _ZERO4, "buffer_pos": 4,
-                  "has_uint32": 0, "uinteger": 0,
-                  "state": {"counter": _ZERO4,
-                            "key": np.array([seed & _LOW64, seed >> 64], dtype=np.uint64)}}
+    bits, rng = _thread_pair()
+    _reset(bits, seed)
     return sample_flat_indices(n_total, size, rng)
+
+
+def _floyd_replayable(n_total: int, size: int) -> bool:
+    """Whether `sample_flat_indices` draws this shape with numpy's Floyd loop,
+    one 32-bit word per step while Lemire's rejection does not fire."""
+    return (2 * size <= n_total < 1 << 32
+            and (n_total <= _FLOYD_BINS or size <= n_total // 50))
+
+
+def _floyd_draws(n_total: int, size: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(draws, settled) of numpy's Floyd loop for a `_floyd_replayable`
+    shape, one row per uint64 seed, replayed from the raw Philox stream.
+
+    Step j = n_total - size + i of Floyd's loop draws a bin in [0, j] by
+    Lemire's method from the i-th 32-bit word of the stream, in which each
+    64-bit output gives its low half, then its high half: the bin is the
+    high half of word * (j + 1).  A low half below (2**32 - 1 - j) mod
+    (j + 1) is rejected and the step takes more words, so `settled` is
+    False for a row where that happens and its draws are meaningless.  A
+    settled row's draws are all in its `keyed_sample`; Floyd adds step j
+    itself where a draw repeats.
+    """
+    half = (size + 1) // 2
+    words = np.empty((len(seeds), half, 2), dtype=np.uint64)
+    bits = _thread_pair()[0]
+    for row, seed in enumerate(seeds.tolist()):
+        _reset(bits, seed)
+        words[row, :, 1] = bits.random_raw(half)
+    # split by shifts, not a byte view, so the word order holds on any byte order
+    words[:, :, 0] = words[:, :, 1] & _LOW32
+    words[:, :, 1] >>= 32
+    scaled = words.reshape(len(seeds), -1)[:, :size]
+    bound = np.arange(n_total - size + 1, n_total + 1, dtype=np.uint64)  # j + 1
+    scaled *= bound
+    settled = ~((scaled & _LOW32) < (_LOW32 - (bound - 1)) % bound).any(axis=1)
+    scaled >>= 32
+    return scaled, settled
+
+
+def keyed_misses(mask: np.ndarray, size: int, seeds: np.ndarray) -> np.ndarray:
+    """For each uint64 seed, whether `keyed_sample(mask.size, size, seed)`
+    misses every True bin of the boolean `mask`.
+
+    When the mask holds more bins than lie outside a sample, every sample
+    meets it.  On `_floyd_replayable` shapes the seeds are decided a chunk
+    at a time from `_floyd_draws`: a drawn bin in the mask is a hit, and a
+    row without one misses unless the mask meets [n - size, n), where
+    Floyd may have added a step's own bin.  That row, a row Lemire's
+    rejection unsettled, and every seed of other shapes are drawn with
+    `keyed_sample`, so the answer is always the keyed sample's.
+    """
+    n_total = mask.size
+    _check_size(n_total, size)
+    misses = np.zeros(len(seeds), dtype=bool)
+    if np.count_nonzero(mask) > n_total - size:
+        return misses
+    drawn = range(len(seeds))  # rows decided by a keyed draw
+    if _floyd_replayable(n_total, size):
+        tail_clear = not mask[n_total - size:].any()
+        step = max(1, _CHUNK_ENTRIES // size)
+        drawn = []
+        for start in range(0, len(seeds), step):
+            draws, settled = _floyd_draws(n_total, size, seeds[start:start + step])
+            seen = mask[draws].any(axis=1)
+            misses[start:start + step] = settled & ~seen
+            drawn += (start + np.flatnonzero(~settled | (~seen & ~tail_clear))).tolist()
+    keys = seeds.tolist()
+    for row in drawn:
+        misses[row] = not mask[keyed_sample(n_total, size, keys[row])].any()
+    return misses
 
 
 def subsampled_query(test: ProbabilityHistogram, band: ReferenceBand,
@@ -209,7 +300,10 @@ def subsampled_query(test: ProbabilityHistogram, band: ReferenceBand,
     """
     support, diffs = support_differences(test, band.base)
     flats = keyed_sample(test.scheme.total_bins, size, seed)
-    sampled = gather(support, diffs, flats)
+    # looked up in sorted order, where searchsorted walks the support once
+    order = np.argsort(flats)
+    sampled = np.empty(flats.size)
+    sampled[order] = gather(support, diffs, flats[order])
     hits = np.flatnonzero(sampled >= band.delta)
     witness = test.scheme.unflatten(int(flats[hits[0]])) if hits.size else None
     return QueryOutcome(inside=hits.size == 0, witness=witness, seed=seed,

@@ -20,14 +20,18 @@ once (`trial_seeds`), and trial t checks the `query.keyed_sample` draw
 keyed by the cell's t-th seed: the very bins that `query --samples s
 --seed <that seed>` checks.  The baseline's record subsamples keep one
 `trial_seed` and a `default_rng` permutation per trial.
-The sup-norm trials run serially: they hold the GIL, so threads only slow
-them down.  The baseline first solves its full-data distance exactly, which
-fixes the threshold.  Its trials run on a pool of `SweepConfig.threads`
-workers, because the solver releases the GIL, and are reduced in (sample
-size, trial) order, so the thread count changes no result.  For exact W2 on
-two or more features a trial is first screened with `transport.w2_bracket`:
-when its bounds on W2^2 lie wholly on one side of the squared threshold,
-widened once, the decision needs no solve.  The other trials are solved.
+A sup-norm cell's trials are decided together by `query.keyed_misses`,
+which replays numpy's Floyd draws from the raw Philox stream a chunk of
+trials at a time and draws with `keyed_sample` only the trials replay
+cannot settle; it runs on the calling thread, as threads would only
+contend for the GIL.  The baseline first solves its full-data distance
+exactly, which fixes the threshold.  Its trials run on a pool of
+`SweepConfig.threads` workers, because the solver releases the GIL, and are
+reduced in (sample size, trial) order, so the thread count changes no
+result.  For exact W2 on two or more features a trial is first screened
+with `transport.w2_bracket`: when its bounds on W2^2 lie wholly on one side
+of the squared threshold, widened once, the decision needs no solve.  The
+other trials are solved.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .errors import (AlignmentError, BudgetError, EmptyInputError,
                      ParameterError, SchemaError)
 from .histogram import BinningScheme, ProbabilityHistogram, format_histogram
 from .pac import analytic_false_positive
-from .query import (ReferenceBand, keyed_sample, support_differences,
+from .query import (ReferenceBand, keyed_misses, support_differences,
                     violation_report)
 from .transport import _CERT_TOL, w2_bracket, wasserstein_1d, wasserstein_nd
 
@@ -224,11 +228,10 @@ def violation_mask(test: ProbabilityHistogram, band: ReferenceBand) -> np.ndarra
     return mask
 
 
-def _empirical_rate(mask: np.ndarray, n_total: int, size: int, trials: int,
+def _empirical_rate(mask: np.ndarray, size: int, trials: int,
                     master_seed: int, cell_path: tuple[int, ...]) -> float:
-    misses = sum(not mask[keyed_sample(n_total, size, seed)].any()
-                 for seed in trial_seeds(master_seed, cell_path, trials).tolist())
-    return misses / trials
+    seeds = trial_seeds(master_seed, cell_path, trials)
+    return int(np.count_nonzero(keyed_misses(mask, size, seeds))) / trials
 
 
 def estimate_false_positive_rate(test: ProbabilityHistogram, band: ReferenceBand,
@@ -238,14 +241,15 @@ def estimate_false_positive_rate(test: ProbabilityHistogram, band: ReferenceBand
     verdict is outside.
 
     Trial t replays subsampled_query with the seed
-    trial_seeds(master_seed, cell, trials)[t]; a dense violation mask makes
-    the per-trial check one lookup without changing which sets get sampled.
+    trial_seeds(master_seed, cell, trials)[t]; `query.keyed_misses` decides
+    the trials against a dense violation mask without changing which sets
+    get sampled.
     """
     report = violation_report(test, band)
     if report.count_k == 0:
         raise ParameterError("exact verdict is inside; no one-sided error is possible")
     mask = violation_mask(test, band)
-    return _empirical_rate(mask, test.scheme.total_bins, size, trials, master_seed, cell)
+    return _empirical_rate(mask, size, trials, master_seed, cell)
 
 
 def run_supnorm_sweep(config: SweepConfig, test: ProbabilityHistogram,
@@ -282,8 +286,8 @@ def run_supnorm_sweep(config: SweepConfig, test: ProbabilityHistogram,
                                      stderr=math.nan, trials=config.trials))
                 continue
             analytic = analytic_false_positive(n_total, k, size)
-            empirical = _empirical_rate(mask, n_total, size, config.trials,
-                                        config.seed, (_SUPNORM_STREAM, cell_idx, s_idx))
+            empirical = _empirical_rate(mask, size, config.trials, config.seed,
+                                        (_SUPNORM_STREAM, cell_idx, s_idx))
             stderr = math.sqrt(analytic * (1.0 - analytic) / config.trials)
             rows.append(SweepRow(eps=report.fraction, delta=delta, samples=size,
                                  empirical_error=empirical, analytic_error=analytic,

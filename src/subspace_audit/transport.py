@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
-from scipy.special import logsumexp
 
 from .errors import (AlignmentError, ConvergenceError, ParameterError,
                      SupportSizeError)
@@ -213,8 +212,8 @@ def _scale(a, b, cost, reg, max_iter, tol):
         stage_tol = tol if final else max(tol, 1e-3)
         stage_cap = max_iter if final else min(max_iter, iterations + 500)
         while iterations < stage_cap:
-            f_new = r * (log_a - logsumexp((g[None, :] - cost) / r, axis=1))
-            g_new = r * (log_b - logsumexp((f_new[:, None] - cost) / r, axis=0))
+            f_new = r * (log_a - _logsumexp((g[None, :] - cost) / r, axis=1))
+            g_new = r * (log_b - _logsumexp((f_new[:, None] - cost) / r, axis=0))
             step_f, step_g = f_new - f, g_new - g
             f, g = f_new, g_new
             iterations += 1
@@ -229,6 +228,14 @@ def _scale(a, b, cost, reg, max_iter, tol):
             f"scaling iterations stalled at residual {residual:.3e} after {iterations} iterations",
             residual=residual)
     return _round_to_feasible(plan, a, b), f, g, iterations
+
+
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(x))) along `axis`, shifted by the largest term, or by 0
+    where that is not finite, as `scipy.special.logsumexp` does."""
+    top = x.max(axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    return np.log(np.exp(x - top).sum(axis=axis)) + np.squeeze(top, axis=axis)
 
 
 def _dual_objective(f: np.ndarray, g: np.ndarray, cost: np.ndarray,

@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -7,10 +8,11 @@ from scipy import stats
 from subspace_audit.errors import AlignmentError, BudgetError, ParameterError
 from subspace_audit.histogram import (BinningScheme, FeatureSpec,
                                       ProbabilityHistogram, gather)
-from subspace_audit.query import (ReferenceBand, exact_query, keyed_sample,
-                                  sample_flat_indices, subsampled_query,
-                                  support_differences, verdict_record,
-                                  violation_report)
+from subspace_audit.query import (ReferenceBand, _floyd_draws,
+                                  _floyd_replayable, exact_query, keyed_misses,
+                                  keyed_sample, sample_flat_indices,
+                                  subsampled_query, support_differences,
+                                  verdict_record, violation_report)
 
 
 def line_scheme(bins):
@@ -286,6 +288,108 @@ class TestKeyedSampler:
         assert stats.chi2.sf(second, groups) > 1e-3
 
 
+def loop_misses(mask, s, seeds):
+    """The per-trial reference: does each seed's keyed sample miss the mask?"""
+    return np.array([not mask[keyed_sample(mask.size, s, seed)].any()
+                     for seed in seeds.tolist()], dtype=bool)
+
+
+def random_mask(rng, n, k, below=None):
+    """k True bins of n, drawn from [0, below) when `below` is given."""
+    mask = np.zeros(n, dtype=bool)
+    mask[rng.choice(n if below is None else below, k, replace=False)] = True
+    return mask
+
+
+class TestKeyedMisses:
+    # numpy's switches: Floyd up to 10 000 bins or a fiftieth of the grid,
+    # the permutation above half of it
+    SHAPES = [(10_000, 201), (10_001, 201), (100_000, 2_000), (100_000, 2_001),
+              (500, 250), (501, 251), (40, 7)]
+
+    @pytest.mark.parametrize("n, s", SHAPES)
+    def test_matches_per_trial_loop(self, n, s):
+        rng = np.random.default_rng(n + s)
+        seeds = rng.integers(0, 2**64, 300, dtype=np.uint64)
+        for k in (1, 3, max(1, n // (4 * s)), n - s, n - s + 1):
+            masks = [random_mask(rng, n, k)]
+            if k <= n - s:  # none in [n - s, n), where Floyd adds its own bins
+                masks.append(random_mask(rng, n, k, below=n - s))
+            for mask in masks:
+                assert np.array_equal(keyed_misses(mask, s, seeds),
+                                      loop_misses(mask, s, seeds)), (n, s, k)
+
+    def test_misses_and_hits_both_occur(self):
+        mask = random_mask(np.random.default_rng(3), 500, 10)
+        misses = keyed_misses(mask, 50, np.arange(2_000, dtype=np.uint64))
+        assert 0 < misses.sum() < misses.size
+
+    def test_no_sample_misses_more_violations_than_it_leaves_out(self):
+        mask = np.zeros(100, dtype=bool)
+        mask[:11] = True
+        assert not keyed_misses(mask, 90, np.arange(50, dtype=np.uint64)).any()
+
+    def test_budget_errors(self):
+        mask = np.zeros(10, dtype=bool)
+        for size in (0, 11):
+            with pytest.raises(BudgetError):
+                keyed_misses(mask, size, np.arange(3, dtype=np.uint64))
+
+    def test_rejected_draws_leave_rows_unsettled(self):
+        """At 2**31 + 7 bins Lemire's rejection fires on about half the
+        draws; the rows it spares hold only bins of their keyed sample."""
+        n, s = 2**31 + 7, 3
+        assert _floyd_replayable(n, s)
+        seeds = np.random.default_rng(5).integers(0, 2**64, 400, dtype=np.uint64)
+        draws, settled = _floyd_draws(n, s, seeds)
+        assert 0.05 < settled.mean() < 0.25  # (1/2)**3 of the rows
+        for row, seed in zip(draws[settled], seeds[settled].tolist()):
+            assert set(row.tolist()) <= set(keyed_sample(n, s, seed).tolist())
+
+    def test_settled_draws_are_in_the_keyed_sample(self):
+        for n, s in ((40, 20), (10_000, 201), (100_000, 2_000), (2**32 - 1, 5)):
+            assert _floyd_replayable(n, s)
+            seeds = np.arange(100, dtype=np.uint64) * 7919
+            draws, settled = _floyd_draws(n, s, seeds)
+            assert settled.mean() > 0.9  # rejection is rare at these widths
+            for row, seed in zip(draws[settled], seeds[settled].tolist()):
+                assert set(row.tolist()) <= set(keyed_sample(n, s, seed).tolist()), (n, s)
+
+    def test_threads_interleaving_batches_and_draws_get_keyed_draws(self):
+        """More threads than cores alternate batch decisions and single draws
+        with a short switch interval; each thread resets its own generator."""
+        rng = np.random.default_rng(11)
+        jobs = [(random_mask(rng, n, 3), s, rng.integers(0, 2**64, 200, dtype=np.uint64))
+                for n, s in ((500, 50), (500, 400), (10_000, 201))]
+        expected = [(loop_misses(mask, s, seeds),
+                     [fresh_philox_draw(mask.size, s, seed) for seed in seeds[:5].tolist()])
+                    for mask, s, seeds in jobs]
+        failures, done = [], []
+
+        def worker(me):
+            for round_ in range(3):
+                for (mask, s, seeds), (misses, draws) in zip(jobs, expected):
+                    if not np.array_equal(keyed_misses(mask, s, seeds), misses):
+                        failures.append((me, round_, s, "batch"))
+                    for seed, draw in zip(seeds[:5].tolist(), draws):
+                        if not np.array_equal(keyed_sample(mask.size, s, seed), draw):
+                            failures.append((me, round_, s, seed))
+            done.append(me)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,), daemon=True) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == [0, 1, 2, 3] and failures == []
+
+
 class TestSubsampledQuery:
     def test_full_sample_equals_exact(self):
         band = ReferenceBand(BASE, 0.05)
@@ -348,6 +452,16 @@ class TestSubsampledQuery:
             subsampled_query(TEST, band, 0, seed=1)
         with pytest.raises(BudgetError):
             subsampled_query(TEST, band, 4, seed=1)
+
+    def test_sampled_diffs_follow_draw_order(self):
+        rng = np.random.default_rng(41)
+        for seed in range(30):
+            test, base = random_pair(rng)
+            n = test.scheme.total_bins
+            out = subsampled_query(test, ReferenceBand(base, 0.01), max(1, n // 3), seed)
+            expected = [abs(mass_at(test, idx) - mass_at(base, idx))
+                        for idx in test.scheme.indices(out.sampled_flats)]
+            assert out.sampled_diffs.tolist() == expected
 
     def test_multifeature_sampling_covers_grid(self):
         scheme = BinningScheme((FeatureSpec.continuous("a", 0, 1, 3),

@@ -7,7 +7,8 @@ SRC is a `src/` directory holding the `subspace_audit` package, INPUTS a
 directory of input files (created and filled on the first run, reused
 afterwards) and OUT the directory that receives every output.  OUT gets
 each histogram file, sweep CSV, generated table and manifest, plus
-`log.txt` with the stdout and exit code of every command; each manifest
+`log.txt` with the exit code, stdout and stderr of every command, so
+refusal messages are compared too; each manifest
 loses only its `timestamp`, so a sweep's `run` block (deltas, dropped
 counts, fingerprints, the baseline's full-data distance) is compared too.
 Two source trees produce the same results when
@@ -21,9 +22,10 @@ any table is read: a config with a misspelled key (`baseline_trial`) and a
 2**40-bin grid (8 features x 32 bins).  So must `synth --rows -1` and a
 `bin` whose `--out` lies in a missing directory (OUT/missing).  The other
 refusals write into OUT/refused, which is deleted at the end, so against a
-tree that still ran them the only difference is their exit codes in
-`log.txt` (0 or 4 there).  `log.txt` shows the paths of OUT and INPUTS as
-`OUT` and `IN` in the arguments that begin with them.  The inputs
+tree that still ran them the only difference is their entries in
+`log.txt` (exit 0 or 4 there).  `log.txt` shows the paths of OUT and
+INPUTS as `OUT` and `IN`, in the arguments that begin with them and in
+the output.  The inputs
 are the criterion-10 fixture of the acceptance tests (`synth --rows 4000
 --seed 33`, its scheme and its sweep config with the transport baseline),
 those of the three benchmark workloads at seed 1,
@@ -43,6 +45,10 @@ the grid flow (p = 2), the dense transportation LP (p = 1) and the
 quantile route (one feature, score in 40 bins).  The fourth run puts the
 threshold (factor 1.07, samples 20 and 40) inside the W2 bracket of one
 trial, which is solved, while the bracket decides the other fifteen.
+A sup-norm sweep of the supnorm-sweep table on a 12 000-bin grid (score
+120 x age 100 bins, eps 0.001 and 0.05) takes samples 240 and 241, on
+either side of numpy's switch from Floyd's algorithm to a partial shuffle,
+and 11 990, which the eps-0.05 violation set always meets.
 """
 
 import csv
@@ -93,8 +99,11 @@ def main(src: str, inputs_dir: str, out: str) -> None:
         if result.exception is not None and not isinstance(result.exception, SystemExit):
             raise result.exception
         shown = " ".join(short(a) for a in args)
-        stdout = result.stdout.replace(os.path.join(out, ""), os.path.join("OUT", ""))
-        log.write(f"$ {shown}\nexit={result.exit_code}\n{stdout}")
+        log.write(f"$ {shown}\nexit={result.exit_code}\n")
+        for stream in (result.stdout, result.stderr):
+            for path, name in ((out, "OUT"), (inputs_dir, "IN")):
+                stream = stream.replace(os.path.join(path, ""), os.path.join(name, ""))
+            log.write(stream)
 
     # criterion-10 fixture
     scheme = "feature.score = continuous:0:10:8\nfeature.age = continuous:18:80:5\n"
@@ -211,6 +220,17 @@ def main(src: str, inputs_dir: str, out: str) -> None:
         "--threads", "1")
     run("sweep", "--config", I("transport.cfg"), "--data", O("synth.csv"),
         "--out", O("transport.csv"), "--threads", "2")
+    # a 12 000-bin grid: samples on both sides of numpy's switch from Floyd's
+    # algorithm to a partial shuffle (a fiftieth of the grid, 240), and one
+    # that leaves fewer bins out than violate, so every sample meets them;
+    # at eps 0.001 (12 violating bins) most samples of 240 miss them all
+    if fresh:
+        fine = "feature.score = continuous:0:10:120\nfeature.age = continuous:18:80:100\n"
+        write("fine.cfg", bench.sweep_config(SEED, 200, samples=(240, 241, 11_990))
+              .replace(bench.scheme_config(bench.SWEEP_SCHEME), fine)
+              .replace("eps = 0.05,0.1,0.2", "eps = 0.001,0.05"))
+    run("sweep", "--config", I("fine.cfg"), "--data", O("synth.csv"), "--out", O("fine.csv"),
+        "--threads", "1")
 
     # messy table: the CSV reader's edge cases, through bin and sweep
     if fresh:
