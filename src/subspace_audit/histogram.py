@@ -21,6 +21,15 @@ From the first block that is not plain on, the rest of the table goes
 through `csv.reader`, the only path for quoted, CRLF and non-ASCII tables.
 Both paths give identical ids, dropped counts and error messages.
 
+A histogram file is a `#` header block and one `j,...,z<TAB>value` line per
+occupied bin.  Only the header is split into lines.  A plain body (ASCII,
+each line n coordinates of digits, a tab, a count of digits or a mass of
+digits and `.eE+-`, and a newline) is parsed with array operations over its
+bytes; any other body, such as one with CR line ends, blank lines, padded
+or signed fields or integers over 19 digits, goes through the line parser,
+which defines the format.  Both give the same histogram or the same
+SchemaError, and every body `format_histogram` writes is plain.
+
 All histogram types are immutable after construction and safe to share
 between threads.
 """
@@ -33,6 +42,7 @@ import json
 import math
 import operator
 import os
+import warnings
 from dataclasses import dataclass, replace
 from itertools import chain, compress, islice, repeat, zip_longest
 from typing import IO, Iterable, Mapping, Sequence, Union
@@ -475,11 +485,26 @@ class _PlainFields:
             filled = raws != b""
             try:
                 values[filled] = raws[filled].astype(np.float64)
-            except ValueError:  # a value float() rejects: parse it field by field
-                values = np.fromiter(map(_float_or_nan, raws.astype(str).tolist()), float,
-                                     raws.size)
+            except ValueError:  # a value float() rejects: parse the odd ones in Python
+                decimal = filled & _decimals(raws)
+                values[decimal] = raws[decimal].astype(np.float64)
+                odd = filled & ~decimal
+                values[odd] = list(map(_float_or_nan, raws[odd].astype(str).tolist()))
             ids.append(feature.bin_values(values))
         return scheme.join_ids(ids)
+
+
+def _decimals(raws: np.ndarray) -> np.ndarray:
+    """Per fixed-width bytes value, whether it is a sign, digits and at most
+    one point, with at least one digit: a float() literal, which numpy casts
+    as float() reads it."""
+    data = np.ascontiguousarray(raws).view(np.uint8).reshape(raws.size, raws.itemsize)
+    digit = data - np.uint8(ord("0")) < 10
+    point = data == ord(".")
+    sign = np.zeros_like(digit)
+    sign[:, 0] = (data[:, 0] == ord("+")) | (data[:, 0] == ord("-"))
+    return ((digit | point | sign | (data == 0)).all(axis=1) & (point.sum(axis=1) <= 1)
+            & digit.any(axis=1))
 
 
 def ingest_csv(source: Source, scheme: BinningScheme,
@@ -534,18 +559,23 @@ def format_histogram(hist: JointHistogram | ProbabilityHistogram) -> str:
     else:
         lines.append("# kind: masses")
     lines += ["# feature: " + json.dumps(_feature_to_json(f)) for f in hist.scheme.features]
-    lines += [",".join(map(str, idx)) + "\t" + repr(v)
-              for idx, v in zip(hist.scheme.indices(hist.flats), hist.values.tolist())]
+    template = ",".join(["{}"] * hist.scheme.n_features) + "\t{!r}"
+    coords = [axis.tolist() for axis in np.unravel_index(hist.flats, hist.scheme.shape)]
+    lines += map(template.format, *coords, hist.values.tolist())
     return "\n".join(lines) + "\n"
 
 
 def parse_histogram(text: str) -> JointHistogram | ProbabilityHistogram:
     """Parse the plain-text exchange format back into a histogram.
 
-    Any malformed line, a non-integer total, or a bin listed twice raises
-    SchemaError.
+    Only the `#` header block is split into lines.  A plain body is parsed
+    with array operations (`_plain_body`); any other body goes through the
+    line parser (`_parse_lines`), which defines the format.  Both give the
+    same histogram.  Any malformed line, a non-integer total, or a bin
+    listed twice raises SchemaError.
     """
-    lines = text.splitlines()
+    head_end = _header_end(text)
+    lines = text[:head_end].splitlines()
     if not lines or lines[0] != _FORMAT_HEADER:
         raise SchemaError("not a subspace-audit histogram file")
     kind = None
@@ -553,7 +583,7 @@ def parse_histogram(text: str) -> JointHistogram | ProbabilityHistogram:
     features: list[FeatureSpec] = []
     body_start = len(lines)
     for lineno, line in enumerate(lines[1:], start=1):
-        if not line.startswith("#"):
+        if not line.startswith("#"):  # a header line cut by a CR or another line break
             body_start = lineno
             break
         key, _, value = line[1:].partition(":")
@@ -575,8 +605,34 @@ def parse_histogram(text: str) -> JointHistogram | ProbabilityHistogram:
     if not features:
         raise SchemaError("histogram file declares no features")
     scheme = BinningScheme(features=tuple(features))
-    n = scheme.n_features
-    rows = list(map(str.partition, filter(str.strip, lines[body_start:]), repeat("\t")))
+    body = text[head_end:]
+    fields = _plain_body(body, scheme.n_features, kind) if body_start == len(lines) else None
+    if fields is None:
+        fields = _parse_lines(lines[body_start:] + body.splitlines(), scheme.n_features, kind)
+    coords, values = fields
+    try:
+        flats = scheme.flat_ids(coords)
+        if kind == "counts":
+            total = totals.get("total", sum(values.tolist()))
+            return JointHistogram.from_flats(scheme, flats, values, total, totals.get("skipped", 0))
+        return ProbabilityHistogram.from_flats(scheme, flats, values)
+    except (ParameterError, IndexError) as exc:
+        raise SchemaError(f"inconsistent histogram file: {exc}") from exc
+
+
+def _header_end(text: str) -> int:
+    """Offset just past the first line and the `#` lines after it, each cut
+    at a newline."""
+    end = text.find("\n") + 1 or len(text)
+    while text.startswith("#", end):
+        end = text.find("\n", end) + 1 or len(text)
+    return end
+
+
+def _parse_lines(lines: list[str], n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Bin coordinates (m x n, int64) and values of data lines, read one line
+    at a time; blank lines are skipped.  This parser defines the format."""
+    rows = list(map(str.partition, filter(str.strip, lines), repeat("\t")))
     heads, tabs, tails = zip(*rows) if rows else ((), (), ())
     try:
         if "" in tabs or set(map(str.count, heads, repeat(","))) - {n - 1}:
@@ -585,14 +641,79 @@ def parse_histogram(text: str) -> JointHistogram | ProbabilityHistogram:
         values = np.array(tails, dtype=np.int64 if kind == "counts" else float)
     except (ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed histogram data line: {exc}") from exc
+    return coords.reshape(-1, n), values
+
+
+# Bytes a plain body may hold: digits and separators, and `.eE+-` in masses.
+_COUNT_BYTES = np.zeros(256, bool)
+_COUNT_BYTES[list(b"0123456789,\t\n")] = True
+_MASS_BYTES = _COUNT_BYTES.copy()
+_MASS_BYTES[list(b".eE+-")] = True
+# 10**k for each digit place of an integer of up to 19 digits (uint64).
+_POWERS = 10 ** np.arange(19, dtype=np.uint64)
+
+
+def _plain_body(body: str, n: int, kind: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """What `_parse_lines` returns for a plain body, parsed with array
+    operations over its bytes; None when the body is not plain.
+
+    A plain body is ASCII, and each of its lines (the last newline may be
+    missing) is n comma-separated coordinates, a tab and a value, where
+    every coordinate and count has 1 to 19 digits and fits int64 and every
+    mass is made of digits and `.eE+-` and is a float() literal.  Anything
+    else (CR, blank or padded lines, signs or underscores in integers, a
+    wrong comma or tab count) is left to the line parser.
+    """
+    if not body.isascii():
+        return None
+    if body and not body.endswith("\n"):
+        body += "\n"
+    raw = np.frombuffer(body.encode("ascii"), np.uint8)
+    if not (_COUNT_BYTES if kind == "counts" else _MASS_BYTES)[raw].all():
+        return None
+    digits = raw - np.uint8(ord("0"))  # 10 or more for any other byte
+    tabs, newlines = raw == ord("\t"), raw == ord("\n")
+    separators = (raw == ord(",")) | tabs | newlines
+    ends = np.flatnonzero(separators)
+    m, rest = divmod(ends.size, n + 1)
+    layout = np.frombuffer(b"," * (n - 1) + b"\t\n", np.uint8)
+    if rest or not (raw[ends].reshape(m, n + 1) == layout).all():
+        return None
+    columns = n + 1 if kind == "counts" else n  # the integer fields of a line
+    lengths = np.diff(ends, prepend=-1).reshape(m, n + 1) - 1
+    sizes = lengths[:, :columns].ravel()
+    width = int(sizes.max(initial=1))
+    if sizes.min(initial=1) < 1 or width > 19:
+        return None
+    # each integer field's value, one digit place at a time from its end
+    at = ends.reshape(m, n + 1)[:, :columns].flatten()
+    integers = np.zeros(sizes.size, np.uint64)
+    for place in range(width):
+        at -= 1
+        digit = digits[at] * (place < sizes)  # 0 before the field's start
+        if digit.max(initial=0) > 9:  # a mass character in a coordinate
+            return None
+        # dtype given: numpy 1.x keeps uint8 * uint64 scalar in uint8, wrapping
+        integers += np.multiply(digit, _POWERS[place], dtype=np.uint64)
+    integers = integers.view(np.int64).reshape(m, columns)
+    if integers.min(initial=0) < 0:  # past int64 (19 digits fit uint64)
+        return None
+    if kind == "counts":
+        return integers[:, :n], integers[:, n]
+    # masses: each value's bytes (from its tab to its newline), joined by
+    # commas for numpy's text parser, which reads these literals as float()
+    # does and refuses the rest (older numpy only warned and kept what it had
+    # read so far, so that warning is a refusal too)
+    in_mass = np.cumsum(tabs.view(np.int8) - newlines.view(np.int8), dtype=np.int8)
+    joined = raw[in_mass.view(bool)]
+    joined[joined == ord("\t")] = ord(",")
     try:
-        flats = scheme.flat_ids(coords.reshape(-1, n))
-        if kind == "counts":
-            total = totals.get("total", sum(values.tolist()))
-            return JointHistogram.from_flats(scheme, flats, values, total, totals.get("skipped", 0))
-        return ProbabilityHistogram.from_flats(scheme, flats, values)
-    except (ParameterError, IndexError) as exc:
-        raise SchemaError(f"inconsistent histogram file: {exc}") from exc
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            masses = np.fromstring(joined[1:].tobytes(), sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    return (integers, masses) if masses.size == m else None
 
 
 def write_histogram(hist: JointHistogram | ProbabilityHistogram, path: str) -> None:

@@ -1,6 +1,7 @@
 """Property tests: the histogram file format round-trips, malformed
 histogram files, config text and CSV bytes only ever raise AuditError, the
-CSV reader agrees with binning `csv.DictReader` rows on both its paths,
+array path of the histogram parser reads every body as the line parser
+does, the CSV reader agrees with binning `csv.DictReader` rows on both its paths,
 whole `query`, `sweep`, `sample-size` and `distance` invocations with fuzzed
 seeds, budgets and parameters only ever exit, and with 1 only on an
 "outside" verdict, the p = 2 grid flow agrees with the dense
@@ -12,6 +13,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -153,6 +155,169 @@ def test_parse_histogram_raises_only_audit_errors(text):
     only_audit_errors(parse_histogram, text)
 
 
+# Hand edits of a histogram file: each takes the data lines and a line index.
+def _edit_line(edit):
+    return lambda lines, i: lines[:i] + [edit(lines[i])] + lines[i + 1:]
+
+
+BODY_EDITS = {
+    "crlf": lambda lines, i: [line + "\r" for line in lines],
+    "blank line": lambda lines, i: lines[:i] + [""] + lines[i:],
+    "whitespace line": lambda lines, i: lines[:i] + ["  \t "] + lines[i:],
+    "comment line": lambda lines, i: lines[:i] + ["# note"] + lines[i:],
+    "padded coordinate": _edit_line(lambda line: " " + line),
+    "padded value": _edit_line(lambda line: line.replace("\t", "\t ") + " "),
+    "signed coordinate": _edit_line(lambda line: "+" + line),
+    "negative coordinate": _edit_line(lambda line: "-" + line),
+    "underscored value": _edit_line(lambda line: line + "_0"),
+    "19-digit coordinate": _edit_line(lambda line: "0" * 18 + line),
+    "20-digit coordinate": _edit_line(lambda line: "0" * 19 + line),
+    "20-digit value": _edit_line(lambda line: line + "0" * 20),
+    "int64 maximum": _edit_line(lambda line: line.partition("\t")[0] + "\t9223372036854775807"),
+    "past int64": _edit_line(lambda line: line.partition("\t")[0] + "\t9223372036854775808"),
+    "extra comma": _edit_line(lambda line: "0," + line),
+    "missing comma": _edit_line(lambda line: line.replace(",", "", 1)),
+    "comma in value": _edit_line(lambda line: line + ",1"),
+    "tab in coordinates": _edit_line(lambda line: line.replace(",", "\t", 1)),
+    "second tab": _edit_line(lambda line: line + "\t1"),
+    "no tab": _edit_line(lambda line: line.replace("\t", ",")),
+    "empty value": _edit_line(lambda line: line.partition("\t")[0] + "\t"),
+    "empty last value": lambda lines, i: lines[:-1] + [lines[-1].partition("\t")[0] + "\t"],
+    "non-ASCII digit": _edit_line(lambda line: "٣" + line),
+    "odd mass": _edit_line(lambda line: line.partition("\t")[0] + "\t" + "1e"),
+    "point mass": _edit_line(lambda line: line.partition("\t")[0] + "\t" + "."),
+    "two-point mass": _edit_line(lambda line: line.partition("\t")[0] + "\t" + "1.2.3"),
+    "double sign": _edit_line(lambda line: line.partition("\t")[0] + "\t" + "--1"),
+    "nan mass": _edit_line(lambda line: line.partition("\t")[0] + "\tnan"),
+    "huge mass": _edit_line(lambda line: line.partition("\t")[0] + "\t1e400"),
+}
+
+
+def histogram_text(shape, kind, lines, end="\n", skipped=None):
+    """A histogram file over continuous features with `shape` bins, holding
+    the data lines as given."""
+    header = [HEADER, f"# kind: {kind}"] + [
+        "# feature: " + json.dumps({"name": f"f{i}", "kind": "continuous", "lower": 0.0,
+                                    "upper": 1.0, "bins": bins}) for i, bins in enumerate(shape)]
+    if skipped is not None:
+        header.append(f"# skipped: {skipped}")
+    return "\n".join(header + lines) + (end if lines else "\n")
+
+
+@st.composite
+def histogram_texts(draw):
+    """A histogram file, and its body when that is plain: as written, or
+    None after up to two hand edits from BODY_EDITS."""
+    shape = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    kind = draw(st.sampled_from(["counts", "masses"]))
+    if kind == "counts":
+        values = st.one_of(st.integers(0, 10**6), st.just(2**63 - 1)).map(str)
+    else:
+        values = st.one_of(st.floats(0.0, 1e300, allow_subnormal=True).map(repr),
+                           st.builds("{}e{}{}".format, st.integers(0, 99),
+                                     st.sampled_from(["", "+", "-", "-0"]), st.integers(0, 330)),
+                           st.sampled_from(["0.", ".5", "7E2", "-0.0", "+1.5", "00.25", "-1"]))
+    # a coordinate may be one past its grid and a bin may repeat: both are refused
+    coords = st.tuples(*(st.integers(0, bins) for bins in shape))
+    lines = [",".join(map(str, c)) + "\t" + v
+             for c, v in draw(st.lists(st.tuples(coords, values), max_size=12))]
+    edits = draw(st.lists(st.sampled_from(sorted(BODY_EDITS)), max_size=2)) if lines else []
+    for edit in edits:
+        lines = BODY_EDITS[edit](lines, draw(st.integers(0, len(lines) - 1)))
+    end = draw(st.sampled_from(["\n", ""]))
+    skipped = draw(st.none() | st.integers(0, 5)) if kind == "counts" else None
+    body = None if edits else "\n".join(lines) + end if lines else ""
+    return histogram_text(shape, kind, lines, end, skipped), body
+
+
+def parse_outcome(text):
+    """What parse_histogram makes of a text: the histogram's fields, or the
+    SchemaError message."""
+    try:
+        hist = parse_histogram(text)
+    except SchemaError as exc:
+        return str(exc)
+    return (type(hist), hist.flats.tolist(), hist.values.dtype, hist.values.tobytes(),
+            getattr(hist, "total", None), getattr(hist, "skipped", None))
+
+
+def assert_parses_like_the_line_parser(text):
+    with mock.patch.object(histogram, "_plain_body", return_value=None):
+        by_lines = parse_outcome(text)
+    assert parse_outcome(text) == by_lines
+
+
+@SETTINGS
+@given(histogram_texts())
+def test_histogram_array_path_parses_like_the_line_parser(case):
+    text, body = case
+    assert_parses_like_the_line_parser(text)
+    if body is not None:  # a plain body takes the array path and reads as the line parser reads it
+        n = text.count("# feature: ")
+        kind = "counts" if "# kind: counts" in text else "masses"
+        fast = histogram._plain_body(body, n, kind)
+        assert fast is not None
+        for got, want in zip(fast, histogram._parse_lines(body.splitlines(), n, kind)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind,values", [("counts", ["3", "12", "5"]),
+                                         ("masses", ["0.25", "1e-05", "0.5"])])
+@pytest.mark.parametrize("edit", sorted(BODY_EDITS) + ["CRLF file", "CR file"])
+def test_each_hand_edit_parses_like_the_line_parser(edit, kind, values):
+    lines = [f"{c}\t{v}" for c, v in zip(["0,1", "2,0", "1,2"], values)]
+    if edit in BODY_EDITS:
+        lines = BODY_EDITS[edit](lines, 1)
+    text = histogram_text((3, 3), kind, lines)
+    if edit.endswith("file"):  # the header's line ends too
+        text = text.replace("\n", "\r\n" if edit == "CRLF file" else "\r")
+    assert_parses_like_the_line_parser(text)
+
+
+def test_mass_refused_only_by_a_warning_goes_to_the_line_parser(monkeypatch):
+    # older numpy warned on a token it could not read and kept what it had read
+    real = np.fromstring
+
+    def warn_and_keep_reading(data, *args, **kwargs):
+        try:
+            return real(data, *args, **kwargs)
+        except ValueError:
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            return np.zeros(data.count(b",") + 1)
+
+    monkeypatch.setattr(np, "fromstring", warn_and_keep_reading)
+    for mass in ("1.2.3", "1e", "."):
+        text = histogram_text((3, 3), "masses", ["0,1\t0.5", f"1,2\t{mass}"])
+        assert_parses_like_the_line_parser(text)
+        assert parse_outcome(text).startswith("malformed histogram data line")
+
+
+@SETTINGS
+@given(histograms())
+def test_written_histograms_take_the_array_path(hist):
+    text = format_histogram(hist)
+    lines = text.splitlines()
+    data = lines[len(lines) - hist.flats.size:]
+    assert data == [",".join(map(str, idx)) + "\t" + repr(v)  # one line at a time
+                    for idx, v in zip(hist.scheme.indices(hist.flats), hist.values.tolist())]
+    with mock.patch.object(histogram, "_parse_lines", side_effect=AssertionError("line parser")):
+        again = parse_histogram(text)
+    assert np.array_equal(again.flats, hist.flats)
+    assert again.values.tobytes() == hist.values.tobytes()
+
+
+def test_extreme_written_values_take_the_array_path():
+    scheme = BinningScheme((FeatureSpec.continuous("a", 0, 1, 3),
+                            FeatureSpec.categorical("b", ["x", "y"])))
+    counts = JointHistogram(scheme, {(2, 1): 2**63 - 1}, total=2**63 - 1)
+    masses = ProbabilityHistogram(scheme, {(0, 0): 5e-324, (1, 0): 1e300, (2, 1): 0.1})
+    with mock.patch.object(histogram, "_parse_lines", side_effect=AssertionError("line parser")):
+        for hist in (counts, masses):
+            again = parse_histogram(format_histogram(hist))
+            assert again.values.tobytes() == hist.values.tobytes()
+
+
 @SETTINGS
 @given(st.text())
 def test_parse_config_raises_only_audit_errors(text):
@@ -171,7 +336,7 @@ def test_ingest_csv_raises_only_audit_errors(data):
 
 
 plain_cells = ["", "1.5", "9", "-3", "1e400", "nan", " 4 ", "x", "F", "M", " F", "a", "b",
-               "1_0"]
+               "1_0", "+.5", "7.", ".", "-", "1.2.3"]
 # quoted, non-ASCII and CRLF-ended rows are read by csv.reader, the rest in numpy
 quirky_cells = plain_cells + ['"1,5"', '"a""b"', "é", "١٢"]
 

@@ -17,7 +17,14 @@ Two source trees produce the same results when
     python tools/compare_outputs.py src inputs out-new
     diff -r out-old out-new
 
-prints nothing.  Two `sweep` commands must be refused with exit 2 before
+prints nothing.  Four hand-edited histogram files (written into INPUTS
+from the criterion-10 `bin` outputs) go through exact and subsampled
+`query` and `distance`: the population with CRLF line ends and a blank
+line, the Female subgroup with `+`-signed and space-padded fields, the
+same subgroup as masses in exponent form, and a file with one line of three
+coordinates, refused with exit 2.  So both histogram body parsers run:
+the array path on plain bodies and the line parser on the rest.
+Two `sweep` commands must be refused with exit 2 before
 any table is read: a config with a misspelled key (`baseline_trial`) and a
 2**40-bin grid (8 features x 32 bins).  So must `synth --rows -1` and a
 `bin` whose `--out` lies in a missing directory (OUT/missing).  The other
@@ -148,6 +155,35 @@ def main(src: str, inputs_dir: str, out: str) -> None:
               .replace("threshold_factor = 1.25", "threshold_factor = 1.07"))
     for cfg in ("c10-sweep-p1", "c10-sweep-1d", "c10-sweep-near"):
         run("sweep", "--config", I(cfg + ".cfg"), "--data", O("c10.csv"), "--out", O(cfg + ".csv"))
+
+    # hand-edited histogram files: the population with CRLF line ends and a
+    # blank line, the subgroup with signed and space-padded fields, the
+    # subgroup as masses in exponent form, and one with a line of three
+    # coordinates, which query and distance refuse with exit 2
+    if fresh:
+        with open(O("c10-all.hist"), encoding="utf-8", newline="") as fh:
+            population = fh.read().splitlines()
+        write("edited-all.hist", "\r\n".join(population[:9] + [""] + population[9:]) + "\r\n")
+        with open(O("c10-fem.hist"), encoding="utf-8", newline="") as fh:
+            group = fh.read().splitlines()
+        head = [line for line in group if line.startswith("#")]
+        data = [line.split("\t") for line in group[len(head):]]
+        write("edited-fem.hist", "\n".join(head + [
+            f"+{bin_}\t{count}" if i % 3 == 0 else f" {bin_} \t {count} " if i % 3 == 1
+            else f"{bin_}\t+{count}" for i, (bin_, count) in enumerate(data)]) + "\n")
+        total = int(head[2].partition(":")[2])
+        write("edited-fem-masses.hist", "\n".join(
+            [head[0], "# kind: masses"] + head[4:] + [
+                f"{bin_}\t{int(count) / total:.17{'eE'[i % 2]}}"
+                for i, (bin_, count) in enumerate(data)]) + "\n")
+        write("edited-malformed.hist", "\n".join(population[:8] + ["0,1,2\t3"]
+                                                  + population[8:]) + "\n")
+    for test in ("edited-fem.hist", "edited-fem-masses.hist", "edited-malformed.hist"):
+        query = ["query", "--reference", I("edited-all.hist"), "--test", I(test), "--delta", "0.01"]
+        run(*query)
+        run(*query, "--samples", 20, "--seed", 3)
+        run("distance", "--a", I(test), "--b", I("edited-all.hist"), "--p", "2",
+            "--method", "exact")
 
     # refused before any table is read: a misspelled sweep key, and a grid
     # whose dense violation mask would need 1 TiB
