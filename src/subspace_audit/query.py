@@ -126,7 +126,13 @@ def support_differences(test: ProbabilityHistogram,
     """
     if test.scheme != base.scheme:
         raise AlignmentError("histograms use different binning schemes")
-    flats = np.union1d(test.flats, base.flats)
+    # both supports are sorted and unique, so a stable sort of the two laid
+    # end to end merges two runs, and the union drops each id's repeat
+    flats = np.concatenate([test.flats, base.flats])
+    flats.sort(kind="stable")
+    first = np.ones(flats.size, dtype=bool)
+    first[1:] = flats[1:] != flats[:-1]
+    flats = flats[first]
     diffs = np.abs(gather(test.flats, test.values, flats) - gather(base.flats, base.values, flats))
     flats.flags.writeable = diffs.flags.writeable = False
     return flats, diffs
@@ -166,12 +172,14 @@ def sample_flat_indices(n_total: int, size: int, rng: np.random.Generator) -> np
     """Uniform sample of `size` distinct flat bin ids from range(n_total).
 
     Without replacement, in draw order, and deterministic given the generator
-    state.  The cost is O(size) at any grid size.  A sample of more than half
-    the grid is a prefix of a full permutation, which then costs under
-    O(2 size).  A smaller one is numpy's `choice(replace=False)`: Floyd's
-    algorithm (Bentley & Floyd, CACM 1987), or a partial shuffle when the
-    sample exceeds a fiftieth of a grid over 10 000 bins.  Floyd's hash set
-    crowds as `size` nears `n_total`, hence the permutation above half.
+    state.  A sample of more than half the grid is a prefix of a full
+    permutation, which costs O(n_total), under O(2 size).  A smaller one is
+    numpy's `choice(replace=False)`: Floyd's algorithm (Bentley & Floyd,
+    CACM 1987), which costs O(size) at any grid size, or, when the sample
+    exceeds a fiftieth of a grid over 10 000 bins, a partial shuffle, which
+    allocates and fills arange(n_total) before it swaps `size` entries and
+    so costs O(n_total), under O(50 size).  Floyd's hash set crowds as
+    `size` nears `n_total`, hence the permutation above half.
     """
     _check_size(n_total, size)
     if 2 * size > n_total:

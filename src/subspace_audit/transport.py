@@ -24,20 +24,30 @@ coupling, which is enough to decide most threshold comparisons.
 Solvers are single-threaded per instance; separate instances may run
 concurrently on immutable inputs, and HiGHS releases the GIL while it
 solves.
+
+scipy is imported on the first exact solve, not with this module: its
+import is more than half of a fresh CLI process's start-up time, and only
+the exact routes use it, so every command that solves no exact transport
+problem starts without it.  `linprog` is a module-level forwarder to `scipy.optimize.linprog`
+rather than an import inside `_solve_highs`, so that it stays an attribute
+of this module that a test can patch to tamper with the duals.  Concurrent
+first imports are safe under Python's import lock.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import (AlignmentError, ConvergenceError, ParameterError,
                      SupportSizeError)
 from .histogram import BinningScheme, ProbabilityHistogram
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 _MARGINAL_TOL = 1e-9
 _CERT_TOL = 1e-7
@@ -140,6 +150,8 @@ def _certified_flow(tail: np.ndarray, head: np.ndarray, cost: np.ndarray, a: np.
     non-negative, and zero where the flow is positive.  Returns the flow,
     the node potentials and the largest node-balance residual.
     """
+    from scipy import sparse
+
     arcs = np.arange(cost.size)
     # source rows count outflow; transit and sink rows count inflow - outflow
     sign = np.where(tail < a.size, 1.0, -1.0)
@@ -152,6 +164,13 @@ def _certified_flow(tail: np.ndarray, head: np.ndarray, cost: np.ndarray, a: np.
     flow, potentials = _solve_highs(cost, incidence, balance)
     _certify(flow, cost, cost - incidence.T @ potentials)
     return flow, potentials, float(np.abs(incidence @ flow - balance).max())
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on the first call."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 def _solve_highs(cost: np.ndarray, a_eq: sparse.csr_matrix,
@@ -189,7 +208,10 @@ def sinkhorn(a, b, cost, reg: float, max_iter: int = 50_000, tol: float = 1e-9) 
     pruned and reinstated as zero rows/columns.
 
     Raises ConvergenceError (carrying the last scaling residual) when that
-    residual is still above `tol` after `max_iter` total iterations.
+    residual is still above `tol` after `max_iter` total iterations, or as
+    soon as an iteration of the final stage leaves the potentials unchanged:
+    from such a fixed point neither the iterations nor the jumps ever move
+    them or the residual again.
     """
     return _on_support(a, b, cost, lambda ar, br, cr: _scale(ar, br, cr, reg, max_iter, tol))
 
@@ -220,6 +242,8 @@ def _scale(a, b, cost, reg, max_iter, tol):
             plan = np.exp((f[:, None] + g[None, :] - cost) / r)
             residual = _marginal_residual(plan, a, b)
             if residual <= stage_tol:
+                break
+            if final and not (step_f.any() or step_g.any()):
                 break
             if iterations % 20 == 0:
                 f, g = _extrapolate(f, g, step_f, step_g, cost, a, b, r)
@@ -534,6 +558,8 @@ def _grid_w2(layers: _GridLayers, a: np.ndarray, b: np.ndarray,
     flow, potentials, residual = _certified_flow(tail, head, cost, a, b, layers.offsets[-1])
 
     if with_plan:
+        from scipy import sparse
+
         coupling = sparse.diags(a, format="csr")
         for k in range(d):
             lo, hi = layers.offsets[k], layers.offsets[k + 1]

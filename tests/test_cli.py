@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -539,3 +542,55 @@ class TestOutDirectory:
         assert result.exit_code == 2, result.output
         assert f"cannot write {out}" in result.output
         assert ".partial-" not in result.output and not (root / "missing").exists()
+
+
+# One fresh interpreter: every command that solves no exact transport
+# problem runs without loading scipy, and an exact `distance` loads it.
+SCIPY_PROBE = """\
+import sys
+from pathlib import Path
+
+from subspace_audit.cli import main
+
+root = Path(sys.argv[1])
+
+
+def run(*args):
+    try:
+        main.main([str(a) for a in args], standalone_mode=False)
+    except SystemExit as exit:
+        assert exit.code in (0, 1), (args, exit.code)
+
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+run("synth", "--rows", 2000, "--seed", 5, "--out", root / "data.csv")
+for flt, name in (("SEX=Female", "fem.hist"), (None, "all.hist")):
+    run("bin", "--data", root / "data.csv", "--config", root / "scheme.cfg",
+        "--out", root / name, *(["--filter", flt] if flt else []))
+hists = ("--reference", root / "all.hist", "--test", root / "fem.hist", "--delta", 0.01)
+run("query", *hists)
+run("query", *hists, "--samples", 10, "--seed", 3)
+run("sample-size", "--eps", 0.05, "--delta", 0.05, "--n-features", 2)
+run("sweep", "--config", root / "sweep.cfg", "--data", root / "data.csv",
+    "--out", root / "sweep.csv", "--threads", 1)
+run("distance", "--a", root / "fem.hist", "--b", root / "all.hist", "--method", "entropic")
+print("light:", scipy_loaded())
+run("distance", "--a", root / "fem.hist", "--b", root / "all.hist", "--method", "exact")
+print("exact:", bool(scipy_loaded()))
+"""
+
+
+def test_only_exact_transport_loads_scipy(tmp_path):
+    (tmp_path / "scheme.cfg").write_text(SCHEME_CFG)
+    (tmp_path / "sweep.cfg").write_text(SWEEP_CFG.replace("trials = 300", "trials = 20"))
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    probe = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path)], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    loaded = [line for line in probe.stdout.splitlines() if line.startswith(("light:", "exact:"))]
+    assert loaded == ["light: []", "exact: True"]

@@ -4,7 +4,8 @@ array path of the histogram parser reads every body as the line parser
 does, the CSV reader agrees with binning `csv.DictReader` rows on both its paths,
 whole `query`, `sweep`, `sample-size` and `distance` invocations with fuzzed
 seeds, budgets and parameters only ever exit, and with 1 only on an
-"outside" verdict, the p = 2 grid flow agrees with the dense
+"outside" verdict, `support_differences` takes the union of two supports
+as `np.union1d` does, the p = 2 grid flow agrees with the dense
 transportation LP, `w2_bracket` brackets its optimum, and a baseline sweep
 that screens trials with it decides every trial as the exact route does."""
 
@@ -19,7 +20,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subspace_audit import histogram, sweep, transport
@@ -29,9 +30,10 @@ from subspace_audit.errors import (AuditError, ConvergenceError, EmptyInputError
                                    SchemaError)
 from subspace_audit.histogram import (BinningScheme, FeatureSpec,
                                       JointHistogram, ProbabilityHistogram,
-                                      RecordFilter, format_histogram,
+                                      RecordFilter, format_histogram, gather,
                                       ingest_csv, parse_histogram,
                                       read_flat_ids)
+from subspace_audit.query import support_differences
 from subspace_audit.sweep import (SweepConfig, WassersteinBaseline, flat_bin_ids,
                                   run_wasserstein_sweep)
 from subspace_audit.transport import kantorovich_lp, wasserstein_nd
@@ -598,6 +600,27 @@ def test_distance_invocations_never_exit_1(cli_files, p, reg, method):
     assert result.exit_code in (0, 2)
     if result.exit_code == 0:
         assert all(map(math.isfinite, map(float, result.output.strip().split(","))))
+
+
+UNION_SCHEME = BinningScheme((FeatureSpec.continuous("x", 0.0, 1.0, 40),
+                              FeatureSpec.categorical("c", list("abcde"))))
+union_supports = st.lists(st.integers(0, UNION_SCHEME.total_bins - 1), max_size=80, unique=True)
+
+
+@SETTINGS
+@given(test_flats=union_supports, base_flats=union_supports)
+@example(test_flats=[], base_flats=[7, 3])
+@example(test_flats=[5], base_flats=[])
+@example(test_flats=[], base_flats=[])
+def test_support_union_matches_union1d(test_flats, base_flats):
+    test, base = (ProbabilityHistogram(UNION_SCHEME, {UNION_SCHEME.unflatten(f): f / 7 % 1
+                                                      for f in flats})
+                  for flats in (test_flats, base_flats))
+    flats, diffs = support_differences(test, base)
+    union = np.union1d(test.flats, base.flats)
+    assert flats.dtype == union.dtype and np.array_equal(flats, union)
+    assert np.array_equal(diffs, np.abs(gather(test.flats, test.values, union)
+                                        - gather(base.flats, base.values, union)))
 
 
 @st.composite

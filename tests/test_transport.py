@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -201,6 +202,17 @@ class TestSinkhorn:
         with pytest.raises(ConvergenceError) as err:
             sinkhorn(a, b, c, reg=0.001 * float(c.max()), max_iter=2, tol=1e-14)
         assert err.value.residual is not None and err.value.residual > 1e-14
+
+    def test_fixed_point_stops_before_max_iter(self):
+        # far below the cost scale the potentials stop moving, and the final
+        # stage gives up there instead of running out all max_iter iterations
+        rng = np.random.default_rng(67)
+        c = random_metric_cost(rng, 4, 4)
+        a, b = random_simplex(rng, 4), random_simplex(rng, 4)
+        with pytest.raises(ConvergenceError, match=r"after \d+ iterations") as err:
+            sinkhorn(a, b, c, reg=1e-12 * float(c.max()), max_iter=50_000)
+        assert int(re.search(r"after (\d+) iterations", str(err.value))[1]) < 50_000
+        assert err.value.residual > 1e-9
 
     def test_rejects_bad_reg(self):
         c = np.zeros((2, 2))
