@@ -12,8 +12,8 @@ directly.
 Bin samples are keyed by seed: the sample for seed S is the first draw of
 `Generator(Philox(key=S))`, so a seed is any integer in [0, 2**128) and
 names one counter-based stream (Salmon et al., SC 2011).  `keyed_sample`
-draws them for queries, from one generator per thread, and each draw costs
-O(sample size) at any grid size (`sample_flat_indices`).  Monte-Carlo trials
+draws them for queries, from one generator per thread, each by numpy's
+`choice` whatever its size (`sample_flat_indices`).  Monte-Carlo trials
 ask only whether a keyed sample meets a set of bins; `keyed_misses` answers
 that for many seeds at once, replaying numpy's Floyd draws from the raw
 Philox words where it can and drawing with `keyed_sample` where it cannot.
@@ -172,18 +172,13 @@ def sample_flat_indices(n_total: int, size: int, rng: np.random.Generator) -> np
     """Uniform sample of `size` distinct flat bin ids from range(n_total).
 
     Without replacement, in draw order, and deterministic given the generator
-    state.  A sample of more than half the grid is a prefix of a full
-    permutation, which costs O(n_total), under O(2 size).  A smaller one is
-    numpy's `choice(replace=False)`: Floyd's algorithm (Bentley & Floyd,
-    CACM 1987), which costs O(size) at any grid size, or, when the sample
-    exceeds a fiftieth of a grid over 10 000 bins, a partial shuffle, which
-    allocates and fills arange(n_total) before it swaps `size` entries and
-    so costs O(n_total), under O(50 size).  Floyd's hash set crowds as
-    `size` nears `n_total`, hence the permutation above half.
+    state: numpy's `choice(replace=False)`.  That is Floyd's algorithm
+    (Bentley & Floyd, CACM 1987), which costs O(size) at any grid size, or,
+    when the sample exceeds a fiftieth of a grid over 10 000 bins, a partial
+    shuffle, which allocates and fills arange(n_total) before it swaps
+    `size` entries and so costs O(n_total), under O(50 size).
     """
     _check_size(n_total, size)
-    if 2 * size > n_total:
-        return rng.permutation(n_total)[:size]
     return rng.choice(n_total, size, replace=False)
 
 
@@ -227,8 +222,9 @@ def keyed_sample(n_total: int, size: int, seed: int) -> np.ndarray:
 
 def _floyd_replayable(n_total: int, size: int) -> bool:
     """Whether `sample_flat_indices` draws this shape with numpy's Floyd loop,
-    one 32-bit word per step while Lemire's rejection does not fire."""
-    return (2 * size <= n_total < 1 << 32
+    one 32-bit word per step while Lemire's rejection does not fire; at
+    s = n its first step draws from [0, 0] and takes no word."""
+    return (size < n_total < 1 << 32
             and (n_total <= _FLOYD_BINS or size <= n_total // 50))
 
 

@@ -18,8 +18,8 @@ Every trial seed is derived from the master seed and the trial's cell by
 bit-identical across reruns.  A sup-norm cell draws all its trial seeds at
 once (`trial_seeds`), and trial t checks the `query.keyed_sample` draw
 keyed by the cell's t-th seed: the very bins that `query --samples s
---seed <that seed>` checks.  The baseline's record subsamples keep one
-`trial_seed` and a `default_rng` permutation per trial.
+--seed <that seed>` checks.  A baseline trial keeps the subgroup records
+at the positions `query.keyed_sample` draws, keyed by its one `trial_seed`.
 A sup-norm cell's trials are decided together by `query.keyed_misses`,
 which replays numpy's Floyd draws from the raw Philox stream a chunk of
 trials at a time and draws with `keyed_sample` only the trials replay
@@ -49,8 +49,8 @@ from .errors import (AlignmentError, BudgetError, EmptyInputError,
                      ParameterError, SchemaError)
 from .histogram import BinningScheme, ProbabilityHistogram, format_histogram
 from .pac import analytic_false_positive
-from .query import (ReferenceBand, keyed_misses, support_differences,
-                    violation_report)
+from .query import (ReferenceBand, keyed_misses, keyed_sample,
+                    support_differences, violation_report)
 from .transport import _CERT_TOL, w2_bracket, wasserstein_1d, wasserstein_nd
 
 CSV_HEADER = "eps,delta,s,empirical_error,analytic_error,stderr,trials"
@@ -356,11 +356,12 @@ def run_wasserstein_sweep(config: SweepConfig, test: tuple[np.ndarray, int],
     `test` and `reference` are (flat bin ids, dropped-record count) pairs,
     as `histogram.read_flat_ids` and `flat_bin_ids` return them.  The
     full-data distance between them fixes a threshold (scaled by the
-    baseline's factor); each trial redraws `s` subgroup records without
-    replacement and decides inside iff their measure's distance stays below
-    the threshold.  An error is any disagreement with the full-data
-    decision.  Per-trial decisions are Bernoulli, so the stderr column
-    doubles as the standard-deviation band.  `config.baseline` must be set.
+    baseline's factor); trial t of size index j keeps the `s` subgroup
+    records at `keyed_sample(group, s, trial_seed(config.seed, 1, j, t))`
+    and decides inside iff their measure's distance stays below the
+    threshold.  An error is any disagreement with the full-data decision.
+    Per-trial decisions are Bernoulli, so the stderr column doubles as the
+    standard-deviation band.  `config.baseline` must be set.
 
     The full-data distance is solved exactly first, and a threshold that
     overflows is refused before any trial is drawn.  For exact W2 on two or
@@ -395,8 +396,8 @@ def run_wasserstein_sweep(config: SweepConfig, test: tuple[np.ndarray, int],
 
     def decide(s_idx: int, size: int, trial: int) -> tuple[bool, bool]:
         """(inside, screened) of one trial."""
-        rng = np.random.default_rng(trial_seed(config.seed, _BASELINE_STREAM, s_idx, trial))
-        measure = measure_from_flats(test_flats[rng.permutation(group)[:size]], scheme)
+        kept = keyed_sample(group, size, trial_seed(config.seed, _BASELINE_STREAM, s_idx, trial))
+        measure = measure_from_flats(test_flats[kept], scheme)
         if screen is not None:
             lower, upper = w2_bracket(measure, ref_measure)
             if math.isfinite(lower) and math.isfinite(upper):

@@ -211,7 +211,8 @@ def sinkhorn(a, b, cost, reg: float, max_iter: int = 50_000, tol: float = 1e-9) 
     residual is still above `tol` after `max_iter` total iterations, or as
     soon as an iteration of the final stage leaves the potentials unchanged:
     from such a fixed point neither the iterations nor the jumps ever move
-    them or the residual again.
+    them or the residual again.  A `reg` below 4**-64 of the largest cost,
+    whose warm-up would take over 64 stages, raises ParameterError first.
     """
     return _on_support(a, b, cost, lambda ar, br, cr: _scale(ar, br, cr, reg, max_iter, tol))
 
@@ -226,6 +227,9 @@ def _scale(a, b, cost, reg, max_iter, tol):
     f, g = np.zeros(a.size), np.zeros(b.size)
 
     schedule = _reg_schedule(float(cost.max(initial=0.0)), reg)
+    if len(schedule) > 64:
+        raise ParameterError(f"regularization {reg:.3e} would take {len(schedule)} warm-up "
+                             "stages, over 64: it lies below 4**-64 of the largest cost")
     iterations = 0
     residual = math.inf
     plan = np.outer(a, b)
@@ -239,7 +243,8 @@ def _scale(a, b, cost, reg, max_iter, tol):
             step_f, step_g = f_new - f, g_new - g
             f, g = f_new, g_new
             iterations += 1
-            plan = np.exp((f[:, None] + g[None, :] - cost) / r)
+            with np.errstate(over="ignore"):
+                plan = np.exp((f[:, None] + g[None, :] - cost) / r)
             residual = _marginal_residual(plan, a, b)
             if residual <= stage_tol:
                 break
@@ -248,9 +253,10 @@ def _scale(a, b, cost, reg, max_iter, tol):
             if iterations % 20 == 0:
                 f, g = _extrapolate(f, g, step_f, step_g, cost, a, b, r)
     if residual > tol:
-        raise ConvergenceError(
-            f"scaling iterations stalled at residual {residual:.3e} after {iterations} iterations",
-            residual=residual)
+        stop = (f"overflowed the plan at regularization {reg:.3e}" if residual == math.inf
+                else f"stalled at residual {residual:.3e}")
+        raise ConvergenceError(f"scaling iterations {stop} after {iterations} iterations",
+                               residual=residual)
     return _round_to_feasible(plan, a, b), f, g, iterations
 
 
@@ -313,14 +319,10 @@ def _round_to_feasible(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nda
 
 
 def _reg_schedule(cost_scale: float, reg: float) -> list[float]:
-    if cost_scale <= reg:
-        return [reg]
     steps = [reg]
-    r = reg
-    while r * 4 < cost_scale:
-        r *= 4
-        steps.append(r)
-    return list(reversed(steps))
+    while steps[-1] * 4 < cost_scale:
+        steps.append(steps[-1] * 4)
+    return steps[::-1]
 
 
 def wasserstein_1d(a: ProbabilityHistogram, b: ProbabilityHistogram, p: float = 1.0) -> float:

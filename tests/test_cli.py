@@ -6,7 +6,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from subspace_audit import cli, datasets, sweep
+from subspace_audit import cli, datasets, sweep, transport
 from subspace_audit.cli import main
 from subspace_audit.histogram import read_histogram
 
@@ -499,6 +499,29 @@ class TestDistance:
                               "--p", "200", "--method", method])
         assert result.exit_code == 2, result.output
         assert "order p = 200.0" in result.output
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_entropic_plan_exit_2_quietly(self, hists):
+        # numpy warned of an overflow in exp, then the error read "residual inf"
+        runner, root = hists
+        result = run(runner, ["distance", "--a", root / "fem.hist", "--b", root / "all.hist",
+                              "--method", "entropic", "--reg", "1e-20"])
+        assert result.exit_code == 2, result.output
+        assert "overflowed the plan at regularization" in result.output
+        assert "inf" not in result.output and "Warning" not in result.output
+
+    def test_reg_needing_over_64_stages_refused_before_iterating(self, hists, monkeypatch):
+        # --reg 1e-300 spent all 50 000 iterations on 499 warm-up stages
+        runner, root = hists
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("iterated")
+
+        monkeypatch.setattr(transport, "_logsumexp", forbidden)
+        result = run(runner, ["distance", "--a", root / "fem.hist", "--b", root / "all.hist",
+                              "--method", "entropic", "--reg", "1e-300"])
+        assert result.exit_code == 2, result.output
+        assert "would take 499 warm-up stages" in result.output
 
     def test_incompatible_schemes_exit_3(self, hists):
         runner, root = hists

@@ -36,7 +36,7 @@ def mass_at(hist, idx):
 def fresh_philox_draw(n, s, seed):
     """The bins keyed by `seed`, drawn from a newly built Philox generator."""
     fresh = np.random.Generator(np.random.Philox(key=seed))
-    return fresh.permutation(n)[:s] if 2 * s > n else fresh.choice(n, s, replace=False)
+    return fresh.choice(n, s, replace=False)
 
 
 def random_pair(rng, max_bins=64):
@@ -227,7 +227,7 @@ class TestSampleFlatIndices:
 
 
 class TestKeyedSampler:
-    # (n, s) pairs on both branches: 2 s > n permutes, otherwise choice
+    # (n, s) pairs on both of numpy's branches: Floyd, and the partial shuffle
     SHAPES = [(500, 400), (2**21, 64), (10, 3), (10_000, 6_593), (100_000, 500), (40, 20)]
 
     SEEDS = (0, 5, 2**64 - 1, 2**64, 2**128 - 1)
@@ -302,10 +302,11 @@ def random_mask(rng, n, k, below=None):
 
 
 class TestKeyedMisses:
-    # numpy's switches: Floyd up to 10 000 bins or a fiftieth of the grid,
-    # the permutation above half of it
+    # numpy's switches: Floyd up to 10 000 bins or a fiftieth of the grid;
+    # s = n stays on the loop
     SHAPES = [(10_000, 201), (10_001, 201), (100_000, 2_000), (100_000, 2_001),
-              (500, 250), (501, 251), (40, 7)]
+              (500, 250), (501, 251), (40, 7),
+              (500, 400), (500, 499), (1_000, 999), (10_000, 6_000)]
 
     @pytest.mark.parametrize("n, s", SHAPES)
     def test_matches_per_trial_loop(self, n, s):
@@ -318,6 +319,17 @@ class TestKeyedMisses:
             for mask in masks:
                 assert np.array_equal(keyed_misses(mask, s, seeds),
                                       loop_misses(mask, s, seeds)), (n, s, k)
+
+    @pytest.mark.parametrize("n", [40, 500, 10_000])
+    def test_full_grid_stays_on_the_loop(self, n):
+        """At s = n Floyd's first step draws from [0, 0] without taking a
+        word; an empty mask is the one mask that reaches the draws there."""
+        assert _floyd_replayable(n, n - 1) and not _floyd_replayable(n, n)
+        seeds = np.arange(20, dtype=np.uint64)
+        mask = np.zeros(n, dtype=bool)
+        assert keyed_misses(mask, n, seeds).all()
+        mask[n - 1] = True
+        assert not keyed_misses(mask, n, seeds).any()
 
     def test_misses_and_hits_both_occur(self):
         mask = random_mask(np.random.default_rng(3), 500, 10)

@@ -11,10 +11,12 @@ from subspace_audit.errors import (BudgetError, EmptyInputError,
 from subspace_audit.histogram import (BinningScheme, FeatureSpec,
                                       ProbabilityHistogram)
 from subspace_audit.pac import analytic_false_positive
-from subspace_audit.query import ReferenceBand, subsampled_query, violation_report
+from subspace_audit.query import (ReferenceBand, keyed_sample, subsampled_query,
+                                  violation_report)
 from subspace_audit.sweep import (SweepConfig, WassersteinBaseline,
                                   eps_to_delta, estimate_false_positive_rate,
-                                  flat_bin_ids, measure_from_records,
+                                  flat_bin_ids, measure_from_flats,
+                                  measure_from_records,
                                   run_supnorm_sweep, run_wasserstein_sweep,
                                   subgroup_split, trial_seed, trial_seeds,
                                   violation_mask)
@@ -123,7 +125,7 @@ class TestEmpiricalRate:
             via_mask = not bool(mask[sample_flat_indices(n, 7, rng)].any())
             assert via_query == via_mask
 
-    @pytest.mark.parametrize("size", [7, 30])  # choice and permutation branches
+    @pytest.mark.parametrize("size", [7, 30])  # below and above half the grid
     def test_rate_counts_subsampled_query_misses(self, size):
         test, band = perturbed_pair(40, 2, 0.002)
         master, cell, trials = 999, (0, 2, 1), 200
@@ -443,6 +445,26 @@ class TestRunWassersteinSweep:
             result = run_wasserstein_sweep(cfg, flat_bin_ids(self.test_rows, self.scheme),
                                            flat_bin_ids(self.ref_rows, self.scheme))
         assert result.metadata["screened"] == 0
+
+    def test_trial_keeps_the_keyed_sample_of_records(self):
+        """Baseline trial t of size index j measures exactly the records
+        `keyed_sample(group, s, trial_seed(seed, 1, j, t))`."""
+        scheme = line_scheme(300)
+        test_flats = np.random.default_rng(8).permutation(300)[:240]  # one record per bin
+        measured = []
+
+        def spy(flats, scheme):
+            measured.append(flats.tolist())
+            return measure_from_flats(flats, scheme)
+
+        cfg = self.config(scheme=scheme, sample_sizes=(7, 150, 240), threads=2,
+                          baseline=WassersteinBaseline(threshold_factor=1.25, trials=5))
+        with mock.patch.object(sweep, "measure_from_flats", spy):
+            run_wasserstein_sweep(cfg, (test_flats, 0), (np.arange(0, 300, 3), 0))
+        expected = [test_flats[keyed_sample(240, size, trial_seed(4242, 1, j, t))].tolist()
+                    for j, size in enumerate(cfg.sample_sizes) for t in range(5)]
+        assert len(measured) == 2 + len(expected)
+        assert sorted(measured[2:]) == sorted(expected)
 
     def test_oversized_sample_rejected(self):
         cfg = self.config(sample_sizes=(10**6,))

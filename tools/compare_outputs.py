@@ -46,7 +46,10 @@ Between them the CSV reader's numpy path, its `csv.reader` path and the
 switch from one to the other mid-table all run.
 The commands are `synth`, `bin`, exact and subsampled `query`,
 `sample-size`, `distance` (exact at p = 2 and p = 1, and entropic at two
-regularizations) and `sweep`.  The criterion-10 fixture's baseline sweep
+regularizations and at two refused ones: 1e-20, where the plan overflows,
+and 1e-300, whose warm-up would take over 64 stages) and `sweep`.  On the
+500-bin grid of the supnorm-sweep table, subsampled queries draw 64 bins,
+300 and all 500.  The criterion-10 fixture's baseline sweep
 runs four times, so that every transport route runs inside a baseline:
 the grid flow (p = 2), the dense transportation LP (p = 1) and the
 quantile route (one feature, score in 40 bins).  The fourth run puts the
@@ -138,7 +141,9 @@ def main(src: str, inputs_dir: str, out: str) -> None:
     for a, b, p in (("c10-fem.hist", "c10-all.hist", "2"), ("c10-fem.hist", "c10-all.hist", "1"),
                     ("c10-all.hist", "c10-all.hist", "2")):
         run("distance", "--a", O(a), "--b", O(b), "--p", p, "--method", "exact")
-    for reg in ("0.01", "0.001"):
+    # the last two are refused with exit 2: the plan overflows at 1e-20, and
+    # 1e-300 would need 499 regularization stages, over the 64 allowed
+    for reg in ("0.01", "0.001", "1e-20", "1e-300"):
         run("distance", "--a", O("c10-fem.hist"), "--b", O("c10-all.hist"), "--p", "2",
             "--method", "entropic", "--reg", reg)
     run("sweep", "--config", I("c10-sweep.cfg"), "--data", O("c10.csv"), "--out", O("c10-sweep.csv"))
@@ -250,6 +255,10 @@ def main(src: str, inputs_dir: str, out: str) -> None:
             for samples in (budget, 64):
                 run(*query, "--samples", samples,
                     "--seed", bench.derive_seed(SEED, 2, 0, g, d, samples))
+    # samples of more than half the 500-bin grid, and of all of it
+    for samples in (300, 500):
+        run("query", "--reference", O("synth-pop.hist"), "--test", O("synth-g0.hist"),
+            "--delta", repr(bench.SWEEP_DELTAS[1]), "--samples", samples, "--seed", 17)
     run("distance", "--a", O("synth-g0.hist"), "--b", O("synth-pop.hist"), "--p", "2",
         "--method", "exact")
     run("sweep", "--config", I("supnorm.cfg"), "--data", O("synth.csv"), "--out", O("supnorm.csv"),
