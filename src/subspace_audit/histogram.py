@@ -11,15 +11,20 @@ tuple-keyed constructors are an input convenience.  `read_flat_ids` is the
 one CSV reader: `ingest_csv` counts its flat bin ids into a histogram, and
 the sweep turns them into measures.
 
-The reader takes the table in blocks of about `_BLOCK_BYTES` characters,
-each cut at a line end, so its memory stays flat in the table size.  A
-plain block (ASCII; no quote, carriage return or NUL; no field over
-`csv.field_size_limit()`) is split at its commas and newlines in numpy,
-and each column it bins is copied out at most once, into an array no larger
-than the block.
+The reader takes the table in blocks of about `_BLOCK_BYTES`, each cut at
+a line end, so its memory stays flat in the table size.  A path or a
+seekable binary source is read in bytes, any other source in characters.
+A plain block (ASCII; no quote, carriage return or NUL; no field over
+`csv.field_size_limit()`) is split in numpy at its comma and newline
+offsets, and its fields are located one column at a time: the filter
+column of every record, then the feature columns of the kept records only,
+each copied out at most once, into an array no larger than the block.
 From the first block that is not plain on, the rest of the table goes
 through `csv.reader`, the only path for quoted, CRLF and non-ASCII tables.
-Both paths give identical ids, dropped counts and error messages.
+A bytes read that meets such a block (or a header that is not plain or
+lacks a column) seeks back to where that read started and goes on as a
+text read, which decodes the same 8 KiB chunks as a text read from the
+start.  All paths give identical ids, dropped counts and error messages.
 
 A histogram file is a `#` header block and one `j,...,z<TAB>value` line per
 occupied bin.  Only the header is split into lines.  A plain body (ASCII,
@@ -55,11 +60,16 @@ from .fileio import atomic_write_text, read_text
 Index = tuple[int, ...]
 
 _FORMAT_HEADER = "# subspace-audit histogram v1"
-# Characters read per CSV block (plus the rest of its last line): ingest
-# memory stays flat in the table size.
+# Bytes (or characters, on a text read) per CSV block, plus the rest
+# of its last line: ingest memory stays flat in the table size.
 _BLOCK_BYTES = 1 << 20
 # CSV rows binned per batch on the csv.reader fallback.
 _CHUNK_ROWS = 1 << 10
+# The bytes a TextIOWrapper decodes at a time (its default `_CHUNK_SIZE`).
+# A text read that goes on from a bytes read starts at a multiple of it, so
+# it decodes the same chunks as a text read from the start, and reports an
+# undecodable byte at the same position.
+_TEXT_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -312,42 +322,102 @@ def read_flat_ids(source: Source, scheme: BinningScheme,
     the source is not UTF-8 or not valid CSV, and EmptyInputError when it
     has no header or no data rows.
     """
-    close, stream = _as_text_stream(source)
+    required = [f.name for f in scheme.features]
+    if record_filter is not None:
+        required.append(record_filter.column)
+    close, stream, binary = _open_source(source)
+    text = None if binary else stream  # the text stream read, if any
+    header, chunks = None, []
     try:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyInputError("CSV source is empty")
-        position = {name: i for i, name in enumerate(header)}  # last duplicate wins
-        required = [f.name for f in scheme.features]
-        if record_filter is not None:
-            required.append(record_filter.column)
-        missing = [c for c in required if c not in position]
-        if missing:
-            raise SchemaError(f"CSV header is missing column(s): {', '.join(missing)}")
-        picks = [position[name] for name in required]
-        chunks = []
-        for block in iter(lambda: _read_block(stream), ""):
-            fields = _PlainFields.split(block)
-            if fields is None:  # quoted, CRLF, non-ASCII or over-long: csv.reader
-                rows = csv.reader(chain(io.StringIO(block, newline=""), stream))
-                chunks += _bin_rows(rows, len(header), picks, scheme, record_filter)
-                break
-            if fields.counts.size:
-                chunks.append(fields.bin(picks, scheme, record_filter))
+        if binary:
+            origin = stream.tell()
+            header, offset = _read_plain_bytes(stream, required, scheme, record_filter, chunks)
+            if offset is not None:  # go on as text from the chunk boundary before `offset`
+                skip = offset % _TEXT_CHUNK
+                stream.seek(origin + offset - skip)
+                text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
+                text.read(skip)  # ASCII, so `skip` characters
+        if text is not None:
+            _read_text(text, header, required, scheme, record_filter, chunks)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{getattr(source, 'name', source)} is not UTF-8 text: {exc}") from exc
     except csv.Error as exc:
         raise SchemaError(f"{getattr(source, 'name', source)} is not valid CSV: {exc}") from exc
     finally:
+        if isinstance(text, io.TextIOWrapper) and text is not source:
+            text.detach()  # leaves the binary stream open
         if close:
             stream.close()
-        elif isinstance(stream, io.TextIOWrapper) and stream is not source:
-            stream.detach()
     if not chunks:
         raise EmptyInputError("CSV source has a header but no data rows")
     flats = np.concatenate(chunks)
     return flats[flats >= 0], int(np.count_nonzero(flats < 0))
+
+
+def _columns(header: list[str] | None, required: list[str]) -> list[int]:
+    """Position of each required column in the header (the last duplicate
+    wins)."""
+    if header is None:
+        raise EmptyInputError("CSV source is empty")
+    position = {name: i for i, name in enumerate(header)}
+    missing = [c for c in required if c not in position]
+    if missing:
+        raise SchemaError(f"CSV header is missing column(s): {', '.join(missing)}")
+    return [position[name] for name in required]
+
+
+def _read_plain_bytes(stream: IO[bytes], required: list[str], scheme: BinningScheme,
+                      record_filter: RecordFilter | None,
+                      chunks: list[np.ndarray]) -> tuple[list[str] | None, int | None]:
+    """Bin the plain blocks of a seekable binary stream, read as bytes,
+    into `chunks`, up to the first block that is not plain.
+
+    Returns the header and None when the whole table was read, or the
+    header and the offset of that block from where the stream started,
+    from which the text reader goes on.  A header that is not plain, not
+    valid CSV or lacks a column gives (None, 0): the text reader then starts
+    over and raises what it raises.
+    """
+    line = stream.readline()
+    try:
+        header = next(csv.reader([line.decode("ascii")]), None) if _is_plain(line) else None
+        picks = _columns(header, required)
+    except (csv.Error, SchemaError, EmptyInputError):
+        return None, 0
+    offset = len(line)
+    while block := stream.read(_BLOCK_BYTES):
+        block += stream.readline()
+        fields = _PlainFields.split(block)
+        if fields is None:
+            return header, offset
+        offset += len(block)
+        if fields.counts.size:
+            chunks.append(fields.bin(picks, scheme, record_filter))
+    return header, None
+
+
+def _is_plain(block: bytes) -> bool:
+    """Whether the bytes are ASCII with no quote, carriage return or NUL."""
+    return block.isascii() and not any(c in block for c in (b'"', b"\r", b"\0"))
+
+
+def _read_text(stream: IO[str], header: list[str] | None, required: list[str],
+               scheme: BinningScheme, record_filter: RecordFilter | None,
+               chunks: list[np.ndarray]) -> None:
+    """Bin the rest of a text stream into `chunks`, reading its header row
+    first unless `header` is given: plain blocks in numpy, and from the
+    first block that is not plain on, every row through `csv.reader`."""
+    if header is None:
+        header = next(csv.reader(stream), None)
+    picks = _columns(header, required)
+    for block in iter(lambda: _read_block(stream), ""):
+        fields = _PlainFields.split(block.encode("utf-8"))
+        if fields is None:  # quoted, CRLF, non-ASCII or over-long: csv.reader
+            rows = csv.reader(chain(io.StringIO(block, newline=""), stream))
+            chunks += _bin_rows(rows, len(header), picks, scheme, record_filter)
+            return
+        if fields.counts.size:
+            chunks.append(fields.bin(picks, scheme, record_filter))
 
 
 def _read_block(stream: IO[str]) -> str:
@@ -389,59 +459,61 @@ def _bin_rows(rows: Iterable[list[str]], width: int, picks: list[int], scheme: B
 
 @dataclass
 class _PlainFields:
-    """Field offsets of a plain CSV block: ASCII, no quote, CR or NUL, and no
+    """Records of a plain CSV block: ASCII, no quote, CR or NUL, and no
     field longer than `csv.field_size_limit()`, so every comma and newline
     separates fields exactly as `csv.reader` would split them.
 
-    `data` holds the block's bytes with zero padding past its end; field j
-    of the block is `data[starts[j]:starts[j] + lengths[j]]`, and record r
-    (blank lines left out) owns fields `firsts[r]` to `firsts[r] + counts[r] - 1`.
+    `raw` holds the block's bytes, ending at a newline, and `separators`
+    the offsets of its commas and newlines.  Record r (blank lines left out)
+    starts at offset `starts[r]`, and its separators are `separators[firsts[r]:
+    firsts[r] + counts[r] + 1]`: `counts[r]` commas, then its newline.  So
+    field c of the record ends at `separators[firsts[r] + c]`.  Fields are
+    located one column at a time, for the records still wanted: the filter
+    column of every record, the feature columns of the kept ones.
     """
 
-    data: np.ndarray
+    raw: np.ndarray
+    separators: np.ndarray
     starts: np.ndarray
-    lengths: np.ndarray
     firsts: np.ndarray
     counts: np.ndarray
 
     @classmethod
-    def split(cls, block: str) -> "_PlainFields | None":
-        """Fields of a block that ends at a line end or at the end of the
+    def split(cls, block: bytes) -> "_PlainFields | None":
+        """Records of a block that ends at a line end or at the end of the
         table, or None when the block is not plain."""
-        if not block.isascii() or any(c in block for c in '"\r\0'):
+        if not _is_plain(block):
             return None
-        raw = np.frombuffer((block if block.endswith("\n") else block + "\n").encode("ascii"),
-                            np.uint8)
-        ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        lengths = ends - starts
-        longest = int(lengths.max())
-        if longest > csv.field_size_limit():
-            return None
-        data = np.zeros(raw.size + longest, np.uint8)
-        data[:raw.size] = raw
-        lasts = np.flatnonzero(raw[ends] == ord("\n"))  # each line's last field
+        raw = np.frombuffer(block if block.endswith(b"\n") else block + b"\n", np.uint8)
+        separators = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+        lasts = np.flatnonzero(raw[separators] == ord("\n"))  # each line's newline
         firsts = np.concatenate(([0], lasts[:-1] + 1))
-        counts = lasts - firsts + 1
-        records = (counts > 1) | (lengths[firsts] > 0)  # blank lines are not records
-        return cls(data, starts, lengths, firsts[records], counts[records])
+        counts = lasts - firsts
+        starts = np.concatenate(([0], separators[lasts[:-1]] + 1))
+        lengths = separators[lasts] - starts
+        limit = csv.field_size_limit()
+        if int(lengths.max()) > limit and int(np.diff(separators, prepend=-1).max()) - 1 > limit:
+            return None
+        records = (counts > 0) | (lengths > 0)  # blank lines are not records
+        return cls(raw, separators, starts[records], firsts[records], counts[records])
 
     def column(self, c: int) -> tuple[np.ndarray, np.ndarray]:
         """Start and length of field c of each record; length -1 where the
         record is too short to have it."""
-        present = c < self.counts
-        at = np.where(present, self.firsts + c, 0)
-        return self.starts[at], np.where(present, self.lengths[at], -1)
+        after = self.firsts + c  # the separator that ends field c
+        stops = self.separators.take(after, mode="clip")
+        starts = self.starts if c == 0 else self.separators.take(after - 1, mode="clip") + 1
+        return starts, np.where(c <= self.counts, stops - starts, -1)
 
     def matches(self, c: int, value: str) -> np.ndarray:
         """Per record, whether field c is present and equals `value`."""
         starts, lengths = self.column(c)
         target = np.frombuffer(value.encode("utf-8"), np.uint8)
         equal = lengths == target.size
-        if target.size:
-            at = np.flatnonzero(equal)
-            window = self.data[starts[at, None] + np.arange(target.size)]
-            equal[at] = (window == target).all(axis=1)
+        at = np.flatnonzero(equal)
+        if target.size and at.size:  # a field's window ends before its separator
+            windows = np.lib.stride_tricks.sliding_window_view(self.raw, target.size)
+            equal[at] = (windows[starts[at]] == target).all(axis=1)
         return equal
 
     def strings(self, c: int) -> np.ndarray | None:
@@ -450,16 +522,20 @@ class _PlainFields:
         than the block, as when one field is far longer than the rest."""
         starts, lengths = self.column(c)
         width = max(1, int(lengths.max(initial=0)))
-        if width * starts.size > self.data.size:
+        if width * starts.size > self.raw.size:
             return None
-        rows = np.lib.stride_tricks.sliding_window_view(self.data, width)[starts]
+        last = self.raw.size - width  # the last window that fits in the block
+        rows = np.lib.stride_tricks.sliding_window_view(self.raw, width)[np.minimum(starts, last)]
+        for r in np.flatnonzero(starts > last).tolist():  # a field near the block's end
+            shift = int(starts[r]) - last
+            rows[r, :width - shift] = rows[r, shift:]
         rows[np.arange(width) >= lengths[:, None]] = 0  # bytes past the field
         return rows.view(f"S{width}")[:, 0]
 
     def texts(self, c: int) -> list[str | None]:
         """Field c of each record as a str; None where it is missing."""
         starts, lengths = self.column(c)
-        data = self.data.tobytes()
+        data = self.raw.tobytes()
         return [data[s:s + n].decode("ascii") if n >= 0 else None
                 for s, n in zip(starts.tolist(), lengths.tolist())]
 
@@ -470,7 +546,8 @@ class _PlainFields:
         fields = self
         if record_filter is not None:  # bin only the kept records
             keep = self.matches(picks[-1], record_filter.value) != record_filter.negate
-            fields = replace(self, firsts=self.firsts[keep], counts=self.counts[keep])
+            fields = replace(self, starts=self.starts[keep], firsts=self.firsts[keep],
+                             counts=self.counts[keep])
         ids = []
         for feature, c in zip(scheme.features, picks):
             raws = fields.strings(c)
@@ -521,17 +598,19 @@ def ingest_csv(source: Source, scheme: BinningScheme,
     return JointHistogram.from_flats(scheme, ids, counts, int(flats.size), dropped)
 
 
-def _as_text_stream(source: Source) -> tuple[bool, IO[str]]:
+def _open_source(source: Source) -> tuple[bool, IO, bool]:
+    """(whether to close it, the stream to read, whether that stream is
+    binary): a path or a seekable binary file object is read as bytes, any
+    other binary source through a UTF-8 text layer."""
     if isinstance(source, (str, os.PathLike)):
-        return True, open(source, "r", encoding="utf-8", newline="")
+        return True, open(source, "rb"), True
     if not hasattr(source, "read"):
         raise ParameterError("source must be a path or a readable file object")
-    if isinstance(source, io.TextIOBase):
-        return False, source
-    probe = source.read(0)
-    if isinstance(probe, str):
-        return False, source  # text-mode duck type
-    return False, io.TextIOWrapper(source, encoding="utf-8", newline="")
+    if isinstance(source, io.TextIOBase) or isinstance(source.read(0), str):
+        return False, source, False  # a text stream, or a text-mode duck type
+    if isinstance(source, io.IOBase) and source.seekable():
+        return False, source, True
+    return False, io.TextIOWrapper(source, encoding="utf-8", newline=""), False
 
 
 def normalize(hist: JointHistogram) -> ProbabilityHistogram:

@@ -16,7 +16,8 @@ draws them for queries, from one generator per thread, each by numpy's
 `choice` whatever its size (`sample_flat_indices`).  Monte-Carlo trials
 ask only whether a keyed sample meets a set of bins; `keyed_misses` answers
 that for many seeds at once, replaying numpy's Floyd draws from the raw
-Philox words where it can and drawing with `keyed_sample` where it cannot.
+Philox words where it can and drawing with `keyed_sample` where it cannot,
+or where two replayed rows of a call do not match their keyed samples.
 
 Every per-bin difference comes from one kernel, `support_differences`, which
 works on the histograms' flat-id arrays: the union of the two supports and
@@ -33,6 +34,7 @@ import operator
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -264,11 +266,12 @@ def keyed_misses(mask: np.ndarray, size: int, seeds: np.ndarray) -> np.ndarray:
 
     When the mask holds more bins than lie outside a sample, every sample
     meets it.  On `_floyd_replayable` shapes the seeds are decided a chunk
-    at a time from `_floyd_draws`: a drawn bin in the mask is a hit, and a
-    row without one misses unless the mask meets [n - size, n), where
-    Floyd may have added a step's own bin.  That row, a row Lemire's
-    rejection unsettled, and every seed of other shapes are drawn with
-    `keyed_sample`, so the answer is always the keyed sample's.
+    at a time from `_floyd_draws` (`_replayed_misses`): a drawn bin in the
+    mask is a hit, and a row without one misses unless the mask meets
+    [n - size, n), where Floyd may have added a step's own bin.  That row,
+    a row Lemire's rejection unsettled, every seed of other shapes, and
+    every seed of a call whose replay does not match numpy's draw are drawn
+    with `keyed_sample`, so the answer is always the keyed sample's.
     """
     n_total = mask.size
     _check_size(n_total, size)
@@ -277,18 +280,49 @@ def keyed_misses(mask: np.ndarray, size: int, seeds: np.ndarray) -> np.ndarray:
         return misses
     drawn = range(len(seeds))  # rows decided by a keyed draw
     if _floyd_replayable(n_total, size):
-        tail_clear = not mask[n_total - size:].any()
-        step = max(1, _CHUNK_ENTRIES // size)
-        drawn = []
-        for start in range(0, len(seeds), step):
-            draws, settled = _floyd_draws(n_total, size, seeds[start:start + step])
-            seen = mask[draws].any(axis=1)
-            misses[start:start + step] = settled & ~seen
-            drawn += (start + np.flatnonzero(~settled | (~seen & ~tail_clear))).tolist()
+        drawn = _replayed_misses(mask, size, seeds, misses)
     keys = seeds.tolist()
     for row in drawn:
         misses[row] = not mask[keyed_sample(n_total, size, keys[row])].any()
     return misses
+
+
+def _replayed_misses(mask: np.ndarray, size: int, seeds: np.ndarray,
+                     misses: np.ndarray) -> Sequence[int]:
+    """Fill `misses` from `_floyd_draws` and return the rows left to a
+    keyed draw.
+
+    The replay assumes numpy's Floyd loop, Lemire's method and Philox's word
+    order.  So the first two settled rows are checked first: Floyd's rule
+    applied to their draws must give the set of their keyed samples.  If it
+    does not, as under a numpy that draws another way, every row is left to
+    a keyed draw.
+    """
+    n_total = mask.size
+    tail_clear = not mask[n_total - size:].any()
+    step = max(1, _CHUNK_ENTRIES // size)
+    drawn, unchecked = [], 2
+    for start in range(0, len(seeds), step):
+        chunk = seeds[start:start + step]
+        draws, settled = _floyd_draws(n_total, size, chunk)
+        for row in np.flatnonzero(settled)[:unchecked].tolist():
+            sample = keyed_sample(n_total, size, int(chunk[row]))
+            if _floyd_set(draws[row], n_total) != set(sample.tolist()):
+                return range(len(seeds))
+            unchecked -= 1
+        seen = mask[draws].any(axis=1)
+        misses[start:start + step] = settled & ~seen
+        drawn += (start + np.flatnonzero(~settled | (~seen & ~tail_clear))).tolist()
+    return drawn
+
+
+def _floyd_set(draws: np.ndarray, n_total: int) -> set[int]:
+    """The bins Floyd's loop keeps from one row of settled draws: step j
+    keeps its draw, or j itself when the draw is already kept."""
+    kept: set[int] = set()
+    for j, draw in enumerate(draws.tolist(), start=n_total - draws.size):
+        kept.add(j if draw in kept else draw)
+    return kept
 
 
 def subsampled_query(test: ProbabilityHistogram, band: ReferenceBand,

@@ -347,8 +347,8 @@ quirky_cells = plain_cells + ['"1,5"', '"a""b"', "é", "١٢"]
 def messy_tables(draw):
     """CSV text on CSV_SCHEME's columns plus a group column `g`, any of them
     possibly listed twice, with blank lines, short and long rows, unparsable
-    values, quoted, non-ASCII and CRLF-ended rows; and a filter on `g`, or
-    none."""
+    values, quoted, non-ASCII and CRLF-ended rows; and a filter on `g` or
+    on the feature column `sex`, or none."""
     header = ["score", "sex", "g"] + draw(st.lists(st.sampled_from(["score", "sex", "g", "z"]),
                                                     max_size=2))
     header = draw(st.permutations(header))
@@ -359,26 +359,45 @@ def messy_tables(draw):
                          max_size=12))
     text = ",".join(header) + "\n" + "".join(",".join(row) + end for row, end in rows)
     record_filter = draw(st.one_of(st.none(), st.builds(
-        RecordFilter, st.just("g"), st.sampled_from(["a", "b", "", "c"]), st.booleans())))
+        RecordFilter, st.sampled_from(["g", "sex"]),
+        st.sampled_from(["a", "b", "", "c", "a,b", "é", " a"]), st.booleans())))
     return text, record_filter
+
+
+class Unseekable(io.BytesIO):
+    """A binary source that cannot seek, so it is read through a text layer."""
+
+    def seekable(self):
+        return False
+
+
+def table_sources(text):
+    """The table as a text stream, as seekable UTF-8 bytes (read as bytes,
+    rewound to the text reader where a block is not plain) and as bytes
+    that cannot seek (read as text)."""
+    data = text.encode("utf-8")
+    return [io.StringIO(text, newline=""), io.BytesIO(data), Unseekable(data)]
 
 
 def assert_reads_like_dict_rows(text, record_filter):
     """read_flat_ids gives the ids, order and dropped count of binning the
-    csv.DictReader rows the filter keeps, or EmptyInputError without rows."""
+    csv.DictReader rows the filter keeps, or EmptyInputError without rows,
+    from a text stream, seekable bytes and bytes that cannot seek."""
     rows = list(csv.DictReader(io.StringIO(text, newline="")))
     if not rows:
-        with pytest.raises(EmptyInputError):
-            read_flat_ids(io.StringIO(text, newline=""), CSV_SCHEME, record_filter)
+        for source in table_sources(text):
+            with pytest.raises(EmptyInputError):
+                read_flat_ids(source, CSV_SCHEME, record_filter)
         return
     if record_filter is not None:
-        rows = [row for row, keep in zip(rows, record_filter.mask([r.get("g") for r in rows]))
-                if keep]
-    flats, dropped = read_flat_ids(io.StringIO(text, newline=""), CSV_SCHEME, record_filter)
+        column = [r.get(record_filter.column) for r in rows]
+        rows = [row for row, keep in zip(rows, record_filter.mask(column)) if keep]
     expected, expected_dropped = flat_bin_ids(rows, CSV_SCHEME)
-    assert flats.dtype == np.int64
-    assert flats.tolist() == expected.tolist()
-    assert dropped == expected_dropped
+    for source in table_sources(text):
+        flats, dropped = read_flat_ids(source, CSV_SCHEME, record_filter)
+        assert flats.dtype == np.int64
+        assert flats.tolist() == expected.tolist()
+        assert dropped == expected_dropped
 
 
 @SETTINGS
@@ -402,6 +421,48 @@ def test_read_flat_ids_switches_to_csv_reader_mid_table(late, record_filter):
     with mock.patch.object(histogram, "_BLOCK_BYTES", 64):
         assert_reads_like_dict_rows("score,sex,g\n" + PLAIN_ROWS + late + PLAIN_ROWS,
                                     record_filter)
+
+
+def read_or_error(source, record_filter):
+    """read_flat_ids' ids and dropped count as lists, or its SchemaError
+    text, which names the source as `table.csv`."""
+    source.name = "table.csv"
+    try:
+        flats, dropped = read_flat_ids(source, CSV_SCHEME, record_filter)
+    except SchemaError as exc:
+        return str(exc)
+    return flats.tolist(), dropped
+
+
+@pytest.mark.parametrize("late", [b'"3,5",F,a\n', b"4,M,a\r\n", "4,é,a\n".encode(),
+                                  b"4,F\0,a\n", b"4,\xffM,a\n"],
+                         ids=["quote", "crlf", "latin", "nul", "undecodable"])
+@pytest.mark.parametrize("plain_rows", [40, 2_000])
+@pytest.mark.parametrize("record_filter", [None, RecordFilter("g", "a"), RecordFilter("sex", "F")],
+                         ids=["all", "g=a", "sex=F"])
+def test_read_flat_ids_rewinds_bytes_to_the_text_reader(late, plain_rows, record_filter):
+    # plain 64-byte blocks read as bytes, then a block that is not plain:
+    # the reader goes back to it and reads on as text, with the same ids,
+    # dropped count or error as a text read from the start (past 8 KiB of
+    # plain rows, the rewind starts inside the table)
+    rows = "".join(f"{i % 11}.5,{'FM'[i % 2]},{'ab'[i % 3 == 0]}\n" for i in range(plain_rows))
+    data = ("score,sex,g\n" + rows).encode() + late + PLAIN_ROWS.encode()
+    with mock.patch.object(histogram, "_BLOCK_BYTES", 64):
+        got = read_or_error(io.BytesIO(data), record_filter)
+        assert got == read_or_error(Unseekable(data), record_filter)
+    assert isinstance(got, str) == late.startswith(b"4,\xff")
+
+
+@pytest.mark.parametrize("text", ["g,sex,score\na,F,1234.5\nb,M,7\n",
+                                  "score,sex,g\n7,F,a\n1,Male,b\n2,F",
+                                  "score,g,sex\n 3 ,a,F\n7,b\n"])
+def test_read_flat_ids_short_fields_at_the_block_end(text):
+    # near the block's end, a field shorter than its column's longest has
+    # no full fixed-width window after it; a filter may keep only that row,
+    # and a filter value may be longer than the whole block
+    for record_filter in (None, RecordFilter("g", "b"), RecordFilter("sex", "F"),
+                          RecordFilter("g", "b" * 64, negate=True)):
+        assert_reads_like_dict_rows(text, record_filter)
 
 
 @pytest.mark.parametrize("block", [3, 17, 64])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from subspace_audit import query
 from subspace_audit.errors import AlignmentError, BudgetError, ParameterError
 from subspace_audit.histogram import (BinningScheme, FeatureSpec,
                                       ProbabilityHistogram, gather)
@@ -330,6 +331,18 @@ class TestKeyedMisses:
         assert keyed_misses(mask, n, seeds).all()
         mask[n - 1] = True
         assert not keyed_misses(mask, n, seeds).any()
+
+    @pytest.mark.parametrize("n, s", [(500, 50), (500, 400), (10_000, 201), (40, 7)])
+    def test_other_draw_falls_back_to_the_loop(self, n, s, monkeypatch):
+        """A numpy that draws another uniform sample than Floyd's loop: the
+        replay's check fails and every seed is drawn."""
+        monkeypatch.setattr(query, "sample_flat_indices",
+                            lambda n_total, size, rng: rng.permutation(n_total)[:size])
+        rng = np.random.default_rng(n + s)
+        seeds = rng.integers(0, 2**64, 200, dtype=np.uint64)
+        for k in (1, 3, n - s):
+            mask = random_mask(rng, n, k, below=n - s)
+            assert np.array_equal(keyed_misses(mask, s, seeds), loop_misses(mask, s, seeds))
 
     def test_misses_and_hits_both_occur(self):
         mask = random_mask(np.random.default_rng(3), 500, 10)

@@ -43,7 +43,12 @@ copy of it with CRLF line ends and a non-ASCII category, and two tables over
 one read block with a categorical feature, one plain throughout and one
 whose last rows are quoted with CRLF ends, read by `bin` and `sweep` too.
 Between them the CSV reader's numpy path, its `csv.reader` path and the
-switch from one to the other mid-table all run.
+switch from one to the other mid-table all run.  Filtered `bin` runs
+test a feature column, the table's last column, `!=`, a value no row has
+and a value with a comma, which only a quoted field holds: on big.csv, its
+fully quoted CRLF copy, a copy with a few quoted `Male,retired` values, and
+big-mixed.csv, which turns quoted and then non-ASCII only after its first
+1 MiB block, so a read of it goes back from bytes to the text reader there.
 The commands are `synth`, `bin`, exact and subsampled `query`,
 `sample-size`, `distance` (exact at p = 2 and p = 1, and entropic at two
 regularizations and at two refused ones: 1e-20, where the plan overflows,
@@ -62,6 +67,7 @@ and 11 990, which the eps-0.05 violation set always meets.
 """
 
 import csv
+import itertools
 import json
 import os
 import random
@@ -356,6 +362,41 @@ def main(src: str, inputs_dir: str, out: str) -> None:
                 "--out", O(f"{table}-{name}.hist"), *(["--filter", flt] if flt else []))
         run("sweep", "--config", I("big-sweep.cfg"), "--data", I(table + ".csv"),
             "--out", O(table + "-sweep.csv"), "--threads", "2")
+
+    # filters the reader tests column by column: on a feature column, on
+    # the table's last column (`region` of audit.csv), with `!=`, for a
+    # value no row has, and for one with a comma, which only a quoted field
+    # can hold (comma.csv quotes a few such SEX values); big-quoted.csv is
+    # big.csv fully quoted with CRLF ends, and big-mixed.csv turns quoted
+    # and then non-ASCII only after its first 1 MiB block, so a read of it
+    # goes back from bytes to text there
+    if fresh:
+        with open(I("big.csv"), encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(I("big-quoted.csv"), "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(rows)
+        with open(I("comma.csv"), "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [["Male,retired"] + row[1:] if i % 50 == 7 and row else row
+                 for i, row in enumerate(rows)])
+        ends = itertools.accumulate(len(line) + 1 for line in lines)
+        late = next(i for i, end in enumerate(ends) if end > 1 << 20) + 100  # in block 2
+        mixed = lines[:late] + [f'"{lines[late]}"'.replace(",", '","')] + lines[late + 1:]
+        mixed[late + 2_000:] = [line.replace("north", "nörth") for line in mixed[late + 2_000:]]
+        write("big-mixed.csv", "\n".join(mixed) + "\n")
+    for flt, name in (("region=north", "region"), ("region!=north", "notregion"),
+                      ("SEX=Male,retired", "comma"), ("note=n-1", "nobody")):
+        for table in ("big", "big-quoted", "big-mixed", "comma"):
+            run("bin", "--data", I(table + ".csv"), "--config", I("big.cfg"),
+                "--out", O(f"filter-{table}-{name}.hist"), "--filter", flt)
+    for table in ("big-quoted", "big-mixed"):
+        for flt, name in (("SEX=Female", "fem"), (None, "all"), ("region=nörth", "accent")):
+            run("bin", "--data", I(table + ".csv"), "--config", I("big.cfg"),
+                "--out", O(f"{table}-{name}.hist"), *(["--filter", flt] if flt else []))
+    for flt, name in (("region=east", "east"), ("GROUP!=Male/C/no", "not-g"),
+                      ("GROUP=Nobody", "nobody")):
+        run("bin", "--data", I("audit.csv"), "--config", I("audit.cfg"),
+            "--out", O(f"audit-{name}.hist"), "--filter", flt)
 
     log.close()
     for name in os.listdir(out):
