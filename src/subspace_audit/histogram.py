@@ -11,20 +11,20 @@ tuple-keyed constructors are an input convenience.  `read_flat_ids` is the
 one CSV reader: `ingest_csv` counts its flat bin ids into a histogram, and
 the sweep turns them into measures.
 
-The reader takes the table in blocks of about `_BLOCK_BYTES`, each cut at
-a line end, so its memory stays flat in the table size.  A path or a
-seekable binary source is read in bytes, any other source in characters.
-A plain block (ASCII; no quote, carriage return or NUL; no field over
-`csv.field_size_limit()`) is split in numpy at its comma and newline
-offsets, and its fields are located one column at a time: the filter
-column of every record, then the feature columns of the kept records only,
-each copied out at most once, into an array no larger than the block.
-From the first block that is not plain on, the rest of the table goes
-through `csv.reader`, the only path for quoted, CRLF and non-ASCII tables.
-A bytes read that meets such a block (or a header that is not plain or
-lacks a column) seeks back to where that read started and goes on as a
-text read, which decodes the same 8 KiB chunks as a text read from the
-start.  All paths give identical ids, dropped counts and error messages.
+A path or a seekable binary source is read as bytes, in blocks of about
+`_BLOCK_BYTES`, each cut at a line end, so the reader's memory stays flat
+in the table size.  A plain block (ASCII; no quote, carriage return or
+NUL; no field over `csv.field_size_limit()`) is split in numpy at its comma
+and newline offsets, and its fields are located one column at a time: the
+filter column of every record, then the feature columns of the kept records
+only, each copied out at most once, into an array no larger than the block.
+A header that is not plain or lacks a column, or the first block that is
+not plain, sends the reader back to where that read started, and from there
+the rest of the table goes through `csv.reader`, the only path for quoted,
+CRLF and non-ASCII tables; it decodes the same 8 KiB chunks as a text read
+from the start.  A text stream, or a binary one that cannot seek, is read
+by `csv.reader` throughout.  All sources give identical ids, dropped counts
+and error messages.
 
 A histogram file is a `#` header block and one `j,...,z<TAB>value` line per
 occupied bin.  Only the header is split into lines.  A plain body (ASCII,
@@ -49,7 +49,7 @@ import operator
 import os
 import warnings
 from dataclasses import dataclass, replace
-from itertools import chain, compress, islice, repeat, zip_longest
+from itertools import compress, islice, repeat, zip_longest
 from typing import IO, Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -60,10 +60,10 @@ from .fileio import atomic_write_text, read_text
 Index = tuple[int, ...]
 
 _FORMAT_HEADER = "# subspace-audit histogram v1"
-# Bytes (or characters, on a text read) per CSV block, plus the rest
-# of its last line: ingest memory stays flat in the table size.
+# Bytes per CSV block read from a path or a seekable binary source, plus
+# the rest of its last line: ingest memory stays flat in the table size.
 _BLOCK_BYTES = 1 << 20
-# CSV rows binned per batch on the csv.reader fallback.
+# CSV rows binned per batch on the csv.reader path.
 _CHUNK_ROWS = 1 << 10
 # The bytes a TextIOWrapper decodes at a time (its default `_CHUNK_SIZE`).
 # A text read that goes on from a bytes read starts at a multiple of it, so
@@ -404,57 +404,22 @@ def _is_plain(block: bytes) -> bool:
 def _read_text(stream: IO[str], header: list[str] | None, required: list[str],
                scheme: BinningScheme, record_filter: RecordFilter | None,
                chunks: list[np.ndarray]) -> None:
-    """Bin the rest of a text stream into `chunks`, reading its header row
-    first unless `header` is given: plain blocks in numpy, and from the
-    first block that is not plain on, every row through `csv.reader`."""
+    """Bin the rest of a text stream into `chunks` through `csv.reader`,
+    reading its header row first unless `header` is given: the flat ids (-1
+    where unbinnable) of the kept records, in batches of `_CHUNK_ROWS`."""
+    rows = csv.reader(stream)
     if header is None:
-        header = next(csv.reader(stream), None)
-    picks = _columns(header, required)
-    for block in iter(lambda: _read_block(stream), ""):
-        fields = _PlainFields.split(block.encode("utf-8"))
-        if fields is None:  # quoted, CRLF, non-ASCII or over-long: csv.reader
-            rows = csv.reader(chain(io.StringIO(block, newline=""), stream))
-            chunks += _bin_rows(rows, len(header), picks, scheme, record_filter)
-            return
-        if fields.counts.size:
-            chunks.append(fields.bin(picks, scheme, record_filter))
-
-
-def _read_block(stream: IO[str]) -> str:
-    """About `_BLOCK_BYTES` characters of a text stream, up to a line end.
-
-    Read 2 048 characters at a time: a TextIOWrapper then always decodes the
-    same 8 KiB chunks (at most 4 bytes per character) that line iteration
-    decodes, so a UnicodeDecodeError gives the same position as under
-    `csv.reader`.
-    """
-    pieces, size = [], 0
-    while size < _BLOCK_BYTES:
-        piece = stream.read(min(_BLOCK_BYTES - size, 2048))
-        if not piece:
-            break
-        pieces.append(piece)
-        size += len(piece)
-    pieces.append(stream.readline())
-    return "".join(pieces)
-
-
-def _bin_rows(rows: Iterable[list[str]], width: int, picks: list[int], scheme: BinningScheme,
-              record_filter: RecordFilter | None) -> list[np.ndarray]:
-    """Flat ids (-1 where unbinnable) of the kept records among csv.reader
-    rows, in batches of `_CHUNK_ROWS`; `picks` are the feature columns, then
-    the filter column."""
+        header = next(rows, None)
+    picks = _columns(header, required)  # the feature columns, then the filter column
     records = filter(None, rows)  # blank lines are not records
-    chunks = []
     for chunk in iter(lambda: list(islice(records, _CHUNK_ROWS)), []):
         columns = list(zip_longest(*chunk))  # short rows pad with None
-        columns += [(None,) * len(chunk)] * (width - len(columns))
+        columns += [(None,) * len(chunk)] * (len(header) - len(columns))
         picked = [columns[i] for i in picks[:scheme.n_features]]
         if record_filter is not None:  # bin only the kept records
             keep = record_filter.mask(columns[picks[-1]])
             picked = [list(compress(column, keep)) for column in picked]
         chunks.append(scheme.bin_columns(picked))
-    return chunks
 
 
 @dataclass
@@ -506,9 +471,12 @@ class _PlainFields:
         return starts, np.where(c <= self.counts, stops - starts, -1)
 
     def matches(self, c: int, value: str) -> np.ndarray:
-        """Per record, whether field c is present and equals `value`."""
+        """Per record, whether field c is present and equals `value`; no
+        field of a plain block equals a value that is not ASCII."""
+        if not value.isascii():
+            return np.zeros(self.starts.size, bool)
         starts, lengths = self.column(c)
-        target = np.frombuffer(value.encode("utf-8"), np.uint8)
+        target = np.frombuffer(value.encode("ascii"), np.uint8)
         equal = lengths == target.size
         at = np.flatnonzero(equal)
         if target.size and at.size:  # a field's window ends before its separator
@@ -600,8 +568,9 @@ def ingest_csv(source: Source, scheme: BinningScheme,
 
 def _open_source(source: Source) -> tuple[bool, IO, bool]:
     """(whether to close it, the stream to read, whether that stream is
-    binary): a path or a seekable binary file object is read as bytes, any
-    other binary source through a UTF-8 text layer."""
+    binary): a path or a seekable binary file object is read as bytes in
+    blocks, any other binary source through a UTF-8 text layer, by
+    `csv.reader`."""
     if isinstance(source, (str, os.PathLike)):
         return True, open(source, "rb"), True
     if not hasattr(source, "read"):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -86,6 +87,27 @@ class TestBin:
                 if line.startswith("# total:"):
                     return int(line.split(":")[1])
         assert total("f.hist") + total("m.hist") == total("all.hist")
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted-crlf"])
+    def test_filter_value_not_utf8(self, workspace, quoted):
+        # click hands `SEX=\xff` over as a lone surrogate: no row has that
+        # value, on the numpy path (plain table) and on csv.reader's
+        runner, root = workspace
+        data = root / "data.csv"
+        if quoted:
+            with open(data, newline="") as fh:
+                rows = list(csv.reader(fh))
+            data = root / "quoted.csv"
+            with open(data, "w", newline="") as fh:
+                csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(rows)
+        args = ["bin", "--data", data, "--config", root / "scheme.cfg"]
+        result = run(runner, args + ["--filter", "SEX=\udcff", "--out", root / "none.hist"])
+        assert result.exit_code == 2
+        assert "no records matched the filter" in result.output
+        for flt, name in (("SEX!=\udcff", "rest.hist"), (None, "all.hist")):
+            result = run(runner, args + ["--out", root / name] + (["--filter", flt] if flt else []))
+            assert result.exit_code == 0, result.output
+        assert (root / "rest.hist").read_bytes() == (root / "all.hist").read_bytes()
 
 
 class TestQuery:

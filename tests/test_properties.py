@@ -372,9 +372,9 @@ class Unseekable(io.BytesIO):
 
 
 def table_sources(text):
-    """The table as a text stream, as seekable UTF-8 bytes (read as bytes,
-    rewound to the text reader where a block is not plain) and as bytes
-    that cannot seek (read as text)."""
+    """The table as a text stream and as UTF-8 bytes that cannot seek (both
+    read by csv.reader), and as seekable UTF-8 bytes (read in numpy blocks,
+    rewound to csv.reader where a block is not plain)."""
     data = text.encode("utf-8")
     return [io.StringIO(text, newline=""), io.BytesIO(data), Unseekable(data)]
 
@@ -403,7 +403,7 @@ def assert_reads_like_dict_rows(text, record_filter):
 @SETTINGS
 @given(messy_tables())
 def test_read_flat_ids_matches_binning_dict_rows(case):
-    # one block, then blocks of a few characters: numpy and csv.reader paths
+    # one block, then blocks of a few bytes: numpy and csv.reader paths
     for block in (histogram._BLOCK_BYTES, 5):
         with mock.patch.object(histogram, "_BLOCK_BYTES", block):
             assert_reads_like_dict_rows(*case)
@@ -465,9 +465,17 @@ def test_read_flat_ids_short_fields_at_the_block_end(text):
         assert_reads_like_dict_rows(text, record_filter)
 
 
+@pytest.mark.parametrize("negate", [False, True], ids=["eq", "ne"])
+def test_read_flat_ids_filter_value_not_unicode(negate):
+    # a command-line value that is not valid UTF-8 reaches the filter as a
+    # lone surrogate: no field equals it, on the numpy and csv.reader paths
+    for text in ("score,sex,g\n" + PLAIN_ROWS, 'score,sex,g\r\n"1.5",F,"a"\r\n7,M,b\r\n'):
+        assert_reads_like_dict_rows(text, RecordFilter("g", "\udcff", negate))
+
+
 @pytest.mark.parametrize("block", [3, 17, 64])
 def test_read_flat_ids_rows_across_block_reads(block):
-    # a read of `block` characters ends inside a row; the row is read whole
+    # a read of `block` bytes ends inside a row; the row is read whole
     with mock.patch.object(histogram, "_BLOCK_BYTES", block):
         assert_reads_like_dict_rows("score,sex,g\n" + PLAIN_ROWS + "\n7,F", None)
 
@@ -480,9 +488,10 @@ def test_read_flat_ids_reports_undecodable_byte_like_csv_reader(offset, sex):
     data = data[:offset] + b"\xff" + data[offset:]
     with pytest.raises(UnicodeDecodeError) as expected:
         list(csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")))
-    with pytest.raises(SchemaError, match="is not UTF-8 text") as raised:
-        read_flat_ids(io.BytesIO(data), CSV_SCHEME)
-    assert str(raised.value).endswith(str(expected.value))
+    for source in (io.BytesIO(data), Unseekable(data)):  # read in blocks, by csv.reader
+        with pytest.raises(SchemaError, match="is not UTF-8 text") as raised:
+            read_flat_ids(source, CSV_SCHEME)
+        assert str(raised.value).endswith(str(expected.value))
 
 
 @pytest.mark.parametrize("record_filter", [None, RecordFilter("g", "a")], ids=["all", "g=a"])
@@ -494,21 +503,23 @@ def test_read_flat_ids_long_feature_fields_among_short_rows(record_filter):
     text = ("score,sex,g\n" + "1.5,M,a\n7,F,b\n" * 25_000 + f"{long_score},M,a\n"
             + "2,F,a\n9,M,b\n" * 25_000 + f"3,{long_sex},a\n")
     assert_reads_like_dict_rows(text, record_filter)
-    tracemalloc.start()
-    try:
-        read_flat_ids(io.StringIO(text, newline=""), CSV_SCHEME, record_filter)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * len(text)
+    for source in (io.StringIO(text, newline=""), io.BytesIO(text.encode())):
+        tracemalloc.start()
+        try:
+            read_flat_ids(source, CSV_SCHEME, record_filter)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * len(text)
 
 
 def test_read_flat_ids_late_long_field_in_unused_column_is_not_valid_csv():
     # one character over the limit, in column `z`, which no feature reads, after block 1
     text = "score,sex,g,z\n" + PLAIN_ROWS + f"1,F,a,{'z' * (csv.field_size_limit() + 1)}\n"
     with mock.patch.object(histogram, "_BLOCK_BYTES", 64):
-        with pytest.raises(SchemaError, match="is not valid CSV"):
-            read_flat_ids(io.StringIO(text, newline=""), CSV_SCHEME)
+        for source in (io.StringIO(text, newline=""), io.BytesIO(text.encode())):
+            with pytest.raises(SchemaError, match="is not valid CSV"):
+                read_flat_ids(source, CSV_SCHEME)
 
 
 CLI_SCHEME = "feature.score = continuous:0:10:4\nfeature.age = continuous:18:80:3\n"

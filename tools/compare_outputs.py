@@ -44,8 +44,9 @@ one read block with a categorical feature, one plain throughout and one
 whose last rows are quoted with CRLF ends, read by `bin` and `sweep` too.
 Between them the CSV reader's numpy path, its `csv.reader` path and the
 switch from one to the other mid-table all run.  Filtered `bin` runs
-test a feature column, the table's last column, `!=`, a value no row has
-and a value with a comma, which only a quoted field holds: on big.csv, its
+test a feature column, the table's last column, `!=`, a value no row has,
+a value with a comma, which only a quoted field holds, and (on big.csv and
+its quoted copy only) a value that is not UTF-8: on big.csv, its
 fully quoted CRLF copy, a copy with a few quoted `Male,retired` values, and
 big-mixed.csv, which turns quoted and then non-ASCII only after its first
 1 MiB block, so a read of it goes back from bytes to the text reader there.
@@ -91,7 +92,9 @@ def main(src: str, inputs_dir: str, out: str) -> None:
     os.makedirs(inputs_dir, exist_ok=True)
     os.makedirs(out, exist_ok=True)
     runner = CliRunner()
-    log = open(os.path.join(out, "log.txt"), "w", encoding="utf-8")
+    # a lone surrogate (a command-line byte that is not UTF-8) is logged as
+    # its escape, so such arguments and messages can be logged
+    log = open(os.path.join(out, "log.txt"), "w", encoding="utf-8", errors="backslashreplace")
 
     def I(name):  # noqa: E743
         return os.path.join(inputs_dir, name)
@@ -387,6 +390,13 @@ def main(src: str, inputs_dir: str, out: str) -> None:
     for flt, name in (("region=north", "region"), ("region!=north", "notregion"),
                       ("SEX=Male,retired", "comma"), ("note=n-1", "nobody")):
         for table in ("big", "big-quoted", "big-mixed", "comma"):
+            run("bin", "--data", I(table + ".csv"), "--config", I("big.cfg"),
+                "--out", O(f"filter-{table}-{name}.hist"), "--filter", flt)
+    # a value that is not UTF-8 (`\xff` on the command line, which click
+    # hands over as the lone surrogate '\udcff'): no row has it, so `=`
+    # keeps no row (exit 2) and `!=` every row, on the numpy path and csv.reader's
+    for flt, name in (("region=\udcff", "badbyte"), ("region!=\udcff", "notbadbyte")):
+        for table in ("big", "big-quoted"):
             run("bin", "--data", I(table + ".csv"), "--config", I("big.cfg"),
                 "--out", O(f"filter-{table}-{name}.hist"), "--filter", flt)
     for table in ("big-quoted", "big-mixed"):
